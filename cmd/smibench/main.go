@@ -24,12 +24,9 @@
 // -fastpath auto lets the analytic dispatcher serve steady-state cells
 // from certified regions without simulating them — byte-identical to
 // -fastpath off, proven per region at runtime (see internal/runner
-// dispatch.go); -fastpath model serves the closed-form prediction
-// itself (approximate, opt-in). -shards N partitions each cell's
-// per-node event streams over N engine shards; cells that cannot shard
-// byte-identically fall back to the sequential engine. The manifest
-// written by -manifest records the dispatcher's full accounting (hits,
-// misses with reasons, certification evidence counts) after the run.
+// dispatch.go). The manifest written by -manifest records the
+// dispatcher's full accounting (hits, misses with reasons,
+// certification evidence counts) after the run.
 //
 // -benchjson runs the sweep suite at quick scale sequentially and at
 // the -parallel worker count, recording wall time and allocations per
@@ -91,8 +88,7 @@ func benchMain(ctx context.Context) (code int) {
 	resume := flag.Bool("resume", false, "replay cells the -store already holds instead of re-running them")
 	cellTimeout := flag.Duration("cell-timeout", 0, "wall-clock deadline per sweep cell (0 = none); timed-out cells fail, they are not retried")
 	retries := flag.Int("retries", 0, "re-run transiently-failed cells up to this many times with exponential backoff")
-	fastpath := flag.String("fastpath", "off", "analytic fast-path dispatch: off, auto (byte-identical) or model (approximate)")
-	shards := flag.Int("shards", 1, "per-cell engine shards (1 = sequential; any value is bit-identical)")
+	fastpath := flag.String("fastpath", "off", "analytic fast-path dispatch: off or auto (byte-identical)")
 	flag.Parse()
 
 	// The recover must be registered before the sink-flush defers below
@@ -134,7 +130,7 @@ func benchMain(ctx context.Context) (code int) {
 	cfg := experiments.Config{
 		Quick: *quick, Runs: *runs, Seed: *seed, Workers: workers,
 		Ctx: ctx, Resume: *resume, CellTimeout: *cellTimeout, Retries: *retries,
-		Stats: &runner.ExecStats{}, Shards: *shards,
+		Stats: &runner.ExecStats{},
 	}
 	if fpMode != runner.FastOff {
 		cfg.Dispatch = runner.NewDispatcher(fpMode, 0)

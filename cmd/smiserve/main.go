@@ -60,8 +60,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	maxQueued := fs.Int("max-queued", 0, "admitted unfinished cells before 429 (0 = 4096)")
 	cellTimeout := fs.Duration("cell-timeout", 0, "wall-clock deadline per cell (0 = none)")
 	retries := fs.Int("retries", 0, "re-run transiently-failed cells up to this many times")
-	fastpath := fs.String("fastpath", "off", "analytic fast-path dispatch: off, auto or model")
-	shards := fs.Int("shards", 1, "per-cell engine shards (any value is bit-identical)")
+	fastpath := fs.String("fastpath", "off", "analytic fast-path dispatch: off or auto")
 	manifestOut := fs.String("manifest", "", "write the server's lifetime accounting manifest here at shutdown")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -82,7 +81,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		MaxQueued:   *maxQueued,
 		CellTimeout: *cellTimeout,
 		Retries:     *retries,
-		Shards:      *shards,
 	}
 	if fpMode != runner.FastOff {
 		cfg.Dispatch = runner.NewDispatcher(fpMode, 0)

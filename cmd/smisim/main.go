@@ -120,8 +120,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cellTimeout := fs.Duration("cell-timeout", 0, "wall-clock deadline per repetition cell (0 = none); timed-out cells fail, they are not retried")
 	retries := fs.Int("retries", 0, "re-run transiently-failed cells up to this many times with exponential backoff")
 	scenarioFile := fs.String("scenario", "", "run a declarative scenario file (JSON) instead of the cell flags")
-	fastpath := fs.String("fastpath", "off", "analytic fast-path dispatch: off, auto (byte-identical) or model (approximate)")
-	shards := fs.Int("shards", 1, "per-cell engine shards (1 = sequential; any value is bit-identical)")
+	fastpath := fs.String("fastpath", "off", "analytic fast-path dispatch: off or auto (byte-identical)")
 	listWorkloads := fs.Bool("list-workloads", false, "list the registered workloads and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -234,6 +233,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := runner.Validate(spec); err != nil {
 		return usage(err)
 	}
+	fpMode, err := runner.ParseFastPathMode(*fastpath)
+	if err != nil {
+		return usage(err)
+	}
 	// Reject malformed fault plans up front: a bad fault flag or field is
 	// an operator error, not a fault-scenario outcome.
 	if spec.Workload == "nas" {
@@ -340,15 +343,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return nil
 	}
 
-	fpMode, err := runner.ParseFastPathMode(*fastpath)
-	if err != nil {
-		return usage(err)
-	}
 	dopts := durable.Options{
 		Workers:     workers,
 		CellTimeout: *cellTimeout,
 		Retry:       durable.Policy{MaxRetries: *retries},
-		Shards:      *shards,
 	}
 	if fpMode != runner.FastOff {
 		dopts.Dispatch = runner.NewDispatcher(fpMode, 0)

@@ -57,8 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	golden := fs.String("golden", "", "byte-compare each artifact's JSON against <dir>/<artifact>.json (quick tier)")
 	updateGolden := fs.Bool("update-golden", false, "regenerate the golden JSONs (into -golden, default results/golden) and exit")
 	smiScale := fs.Float64("smi-scale", 0, "physics perturbation: multiply every SMI duration (0 or 1 = off)")
-	fastpath := fs.String("fastpath", "off", "analytic fast-path dispatch: off, auto (byte-identical) or model (approximate)")
-	shards := fs.Int("shards", 1, "per-cell engine shards (1 = sequential; any value is bit-identical)")
+	fastpath := fs.String("fastpath", "off", "analytic fast-path dispatch: off or auto (byte-identical)")
 	expectFile := fs.String("expectations", "", "JSON expectation set overriding the built-in per-cell bands")
 	benchBaseline := fs.String("bench-baseline", "", "bench mode: committed BENCH_sweeps.json baseline")
 	benchNew := fs.String("bench-new", "", "bench mode: freshly measured BENCH_sweeps.json")
@@ -113,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Runs:     *runs,
 		Workers:  workerCount(*parallel),
 		SMIScale: *smiScale,
-		Shards:   *shards,
 		GoldenDir: func() string {
 			if *updateGolden {
 				return ""

@@ -104,8 +104,11 @@ func capacityOverflow(ws, cap int64) float64 {
 		return 0.05 * r * r
 	}
 	// Beyond capacity an LRU-like model: fraction of the working set
-	// that was evicted before re-reference is 1 - cap/ws.
-	return 1 - 1/r
+	// that was evicted before re-reference is 1 - cap/ws. The conflict
+	// misses reached at capacity stay as a floor, so the curve never
+	// drops just past the knee (1 - 1/r only overtakes 0.05 at
+	// r = 1/0.95).
+	return math.Max(0.05, 1-1/r)
 }
 
 // Report mirrors a cachegrind-style summary for a simulated workload.

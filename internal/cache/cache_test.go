@@ -38,17 +38,25 @@ func TestMissRateMonotonicInWorkingSet(t *testing.T) {
 
 func TestSharedMissRateNotLower(t *testing.T) {
 	h := R410Node()
+	notLower := func(a Access) bool {
+		return h.SharedMissRate(a, 2) >= h.MissRate(a)-1e-12
+	}
+	// A working set just past LLC/2: shared occupancy sits right above
+	// the capacity knee, where the overflow curve once dipped to ~0.
+	knee := Access{WorkingSet: 1536<<10 + 1, Stride: 64}
+	if !notLower(knee) {
+		t.Errorf("shared miss rate %v below solo %v for %+v",
+			h.SharedMissRate(knee, 2), h.MissRate(knee), knee)
+	}
 	prop := func(wsKB uint32, strideLog uint8, reuse10 uint8) bool {
-		a := Access{
+		return notLower(Access{
 			WorkingSet: int64(wsKB%100000)*1024 + 1,
 			Stride:     1 << (strideLog % 8),
 			Reuse:      float64(reuse10%50) / 10,
-		}
-		solo := h.MissRate(a)
-		shared := h.SharedMissRate(a, 2)
-		return shared >= solo-1e-12
+		})
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
 	}
 }

@@ -68,18 +68,13 @@ func (n *Node) Sources() []perturb.Source {
 	return out
 }
 
-// Cluster is a set of nodes over a fabric, sharing one engine — or,
-// when built with NewSharded, partitioned over the engines of a shard
-// group (Eng is then the first shard's engine, kept for components that
-// need *an* engine, like the reliable transport, which sharded runs
-// never use).
+// Cluster is a set of nodes over a fabric, sharing one engine.
 type Cluster struct {
 	Eng    *sim.Engine
 	Nodes  []*Node
 	Fabric *netsim.Fabric
 
-	tr    obs.Tracer      // nil unless the run is traced
-	group *sim.ShardGroup // nil unless built by NewSharded
+	tr obs.Tracer // nil unless the run is traced
 }
 
 // SetTracer attaches an observability tracer to the whole machine:
@@ -143,53 +138,6 @@ func (c *Cluster) addNode(e *sim.Engine, i int, np NodeParams) error {
 	}
 	c.Nodes = append(c.Nodes, node)
 	return nil
-}
-
-// NewSharded assembles a cluster whose nodes are partitioned round-robin
-// over the given engines (node i on engine i mod len(engs)), with the
-// fabric in sharded mode: cross-shard traffic is queued during lockstep
-// windows and merged deterministically at window barriers, with the
-// fabric latency as the group's lookahead. The caller drives the run
-// through RunShards (mpi.World.RunE does so automatically) and must
-// discard the whole run if the group aborts.
-func NewSharded(engs []*sim.Engine, par Params) (*Cluster, error) {
-	if len(engs) < 2 {
-		return nil, fmt.Errorf("cluster: sharded cluster needs ≥ 2 engines, got %d", len(engs))
-	}
-	if par.Nodes < len(engs) {
-		return nil, fmt.Errorf("cluster: %d nodes over %d shards", par.Nodes, len(engs))
-	}
-	group := sim.NewShardGroup(engs, par.Fabric.Latency)
-	fabric, err := netsim.New(engs[0], par.Nodes, par.Fabric)
-	if err != nil {
-		return nil, err
-	}
-	engOf := make([]*sim.Engine, par.Nodes)
-	shardOf := make([]int, par.Nodes)
-	for i := range engOf {
-		engOf[i] = engs[i%len(engs)]
-		shardOf[i] = i % len(engs)
-	}
-	if err := fabric.Shard(group, engOf, shardOf); err != nil {
-		return nil, err
-	}
-	c := &Cluster{Eng: engs[0], Fabric: fabric, group: group}
-	for i := 0; i < par.Nodes; i++ {
-		if err := c.addNode(engOf[i], i, par.Node); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// ShardGroup reports the cluster's shard group, nil when the cluster
-// runs on a single engine.
-func (c *Cluster) ShardGroup() *sim.ShardGroup { return c.group }
-
-// RunShards drives a sharded cluster to completion (or abort), merging
-// cross-shard fabric traffic at every window barrier.
-func (c *Cluster) RunShards() {
-	c.group.Run(c.Fabric.Flush)
 }
 
 // MustNew is New but panics on error.

@@ -44,9 +44,6 @@ type Options struct {
 	// Stats, when non-nil, accumulates execution accounting (cells,
 	// simulated runs, engine events, fast-path hits/misses).
 	Stats *runner.ExecStats
-	// Shards is the per-cell engine shard count forwarded to executed
-	// cells (see runner.Exec.Shards).
-	Shards int
 }
 
 // Stats is the sweep's execution accounting; it is the manifest's
@@ -208,7 +205,6 @@ func runItem(ctx context.Context, it item, o Options, st *Stats) out {
 		Tracer:   obs.WithRun(o.Tracer, int32(it.global)),
 		Stats:    o.Stats,
 		Dispatch: o.Dispatch,
-		Shards:   o.Shards,
 		RunsHint: it.runs,
 	}
 	for attempt := 1; ; attempt++ {

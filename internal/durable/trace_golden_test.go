@@ -14,9 +14,8 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 
-// epShardSpec is the golden cell: a 2-node EP.S sweep, run with 2
-// engine shards requested.
-func epShardSpec() scenario.Spec {
+// epSpec is the golden cell: a 2-run, 2-node EP.S sweep.
+func epSpec() scenario.Spec {
 	return scenario.Spec{
 		Workload: "nas",
 		Machine:  scenario.Machine{Nodes: 2, RanksPerNode: 1},
@@ -26,59 +25,42 @@ func epShardSpec() scenario.Spec {
 	}
 }
 
-func traceCell(t *testing.T, shards int) []byte {
-	t.Helper()
+// TestTracedEPGolden pins the trace byte stream of a traced EP cell
+// against a checked-in golden file. The ChromeSink's pid/tid layout for
+// a 2-run, 2-node cell — the coordinates smireport decodes with
+// SplitPid/TrackOf — is a compatibility surface; any change must be a
+// conscious golden update, not an accident.
+//
+// Regenerate with: go test ./internal/durable -run TracedEPGolden -update
+func TestTracedEPGolden(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewChromeSink(&buf)
-	_, _, err := RunSpec(context.Background(), epShardSpec(), Options{
-		Workers: 1, Shards: shards, Tracer: sink,
-	})
-	if err != nil {
-		t.Fatalf("run (shards=%d): %v", shards, err)
+	if _, _, err := RunSpec(context.Background(), epSpec(), Options{Workers: 1, Tracer: sink}); err != nil {
+		t.Fatalf("run: %v", err)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
-}
+	got := buf.Bytes()
 
-// TestShardedEPTraceGolden pins the trace byte stream of a 2-shard EP
-// cell against a checked-in golden file. Two contracts at once:
-//
-//   - A traced run is never sharded (the bus would interleave
-//     nondeterministically), so requesting 2 shards must produce the
-//     byte-identical trace of the sequential fallback.
-//   - The ChromeSink's pid/tid layout for a 2-run, 2-node cell — the
-//     coordinates smireport decodes with SplitPid/TrackOf — is a
-//     compatibility surface; any change must be a conscious golden
-//     update, not an accident.
-//
-// Regenerate with: go test ./internal/durable -run ShardedEPTraceGolden -update
-func TestShardedEPTraceGolden(t *testing.T) {
-	sharded := traceCell(t, 2)
-	sequential := traceCell(t, 1)
-	if !bytes.Equal(sharded, sequential) {
-		t.Fatal("2-shard traced cell differs from the sequential trace: tracing no longer forces the sequential fallback")
-	}
-
-	goldenPath := filepath.Join("testdata", "ep-2shard.trace.json")
+	goldenPath := filepath.Join("testdata", "ep.trace.json")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, sharded, 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes)", goldenPath, len(sharded))
+		t.Logf("rewrote %s (%d bytes)", goldenPath, len(got))
 		return
 	}
 	golden, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("missing golden (regenerate with -update): %v", err)
 	}
-	if !bytes.Equal(sharded, golden) {
+	if !bytes.Equal(got, golden) {
 		t.Fatalf("trace diverged from golden %s: sink layout or event emission changed (run with -update if intentional); got %d bytes, want %d",
-			goldenPath, len(sharded), len(golden))
+			goldenPath, len(got), len(golden))
 	}
 
 	// The golden must decode through the exported reader with the

@@ -69,8 +69,6 @@ type Config struct {
 	// cell of every sweep: cells dispatched, simulated runs, engine
 	// events, fast-path hits and misses.
 	Stats *runner.ExecStats
-	// Shards is the per-cell engine shard count (see runner.Exec.Shards).
-	Shards int
 }
 
 // ctx resolves the run's context.
@@ -93,7 +91,6 @@ func (c Config) durableOptions() durable.Options {
 		Tracer:      c.Tracer,
 		Dispatch:    c.Dispatch,
 		Stats:       c.Stats,
-		Shards:      c.Shards,
 	}
 }
 

@@ -57,8 +57,6 @@ type Config struct {
 	// Stats, when non-nil, accumulates execution accounting across every
 	// artifact's cells.
 	Stats *runner.ExecStats
-	// Shards is the per-cell engine shard count (see runner.Exec.Shards).
-	Shards int
 }
 
 // Tier names the configured tier.
@@ -96,7 +94,6 @@ func (c Config) expCfg(seed int64) experiments.Config {
 		SMIScale: c.SMIScale,
 		Dispatch: c.Dispatch,
 		Stats:    c.Stats,
-		Shards:   c.Shards,
 	}
 }
 

@@ -14,8 +14,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"smistudy/internal/cluster"
 	"smistudy/internal/cpu"
@@ -162,8 +160,7 @@ type World struct {
 
 	net      TransportStats
 	obs      FaultObserver
-	progress atomic.Uint64 // bumped on every delivery/completion; watched by the watchdog
-	errsMu   sync.Mutex    // ranks on different shards can abort concurrently
+	progress uint64 // bumped on every delivery/completion; watched by the watchdog
 	errs     []error
 	wderr    *NoProgressError
 	wdEvent  *sim.Event
@@ -176,9 +173,8 @@ type World struct {
 // same tracer the cluster carries.
 func (w *World) SetTracer(tr obs.Tracer) { w.tr = tr }
 
-// bump records forward progress for the watchdog. Atomic: in a sharded
-// run deliveries bump from several shard goroutines at once.
-func (w *World) bump() { w.progress.Add(1) }
+// bump records forward progress for the watchdog.
+func (w *World) bump() { w.progress++ }
 
 // Rank is one MPI process.
 type Rank struct {
@@ -276,9 +272,6 @@ func (w *World) Run(prof cpu.Profile, main func(r *Rank, t *kernel.Task)) sim.Ti
 // instead of a hang or panic, with the engine shut down so the run ends
 // at a bounded simulated time.
 func (w *World) RunE(prof cpu.Profile, main func(r *Rank, t *kernel.Task)) (sim.Time, error) {
-	if g := w.cl.ShardGroup(); g != nil {
-		return w.runSharded(g, prof, main)
-	}
 	w.remaining = len(w.ranks)
 	for _, r := range w.ranks {
 		r := r
@@ -319,55 +312,6 @@ func (w *World) RunE(prof cpu.Profile, main func(r *Rank, t *kernel.Task)) (sim.
 	return w.endTime, nil
 }
 
-// ErrShardFallback marks a sharded run that aborted because the
-// execution hit an ordering the deterministic cross-shard merge cannot
-// reproduce (incast congestion, simultaneous sends to one receiver, a
-// rendezvous transfer, …). The run's state is discarded; the caller
-// must rerun on a single engine, which is byte-identical by definition.
-var ErrShardFallback = errors.New("mpi: sharded run aborted, rerun sequentially")
-
-// runSharded drives the ranks over the cluster's shard group: each
-// rank's events execute on its node's shard engine, windows run
-// concurrently, and the fabric merges cross-shard traffic at window
-// barriers. Any outcome other than a clean all-ranks completion —
-// a merge abort, a rank error, ranks left outstanding — is reported as
-// ErrShardFallback, because a partial sharded state cannot be trusted
-// for the sequential error-reporting contract. The progress watchdog is
-// not armed: sharded runs are steady-state (no faults, no reliable
-// transport), where the only hang is a model bug the sequential rerun
-// will reproduce and report.
-func (w *World) runSharded(g *sim.ShardGroup, prof cpu.Profile, main func(r *Rank, t *kernel.Task)) (sim.Time, error) {
-	var remaining atomic.Int64
-	remaining.Store(int64(len(w.ranks)))
-	ends := make([]sim.Time, len(w.ranks))
-	for _, r := range w.ranks {
-		r := r
-		r.task = r.node.Kernel.Spawn(fmt.Sprintf("rank%d", r.id), prof, func(t *kernel.Task) {
-			w.runRank(r, t, main)
-			r.done = true
-			w.bump()
-			ends[r.id] = t.Gettime()
-			if remaining.Add(-1) == 0 {
-				g.Stop()
-			}
-		})
-	}
-	w.cl.RunShards()
-	w.errsMu.Lock()
-	failed := len(w.errs) > 0
-	w.errsMu.Unlock()
-	if g.Aborted() || remaining.Load() != 0 || failed {
-		g.Shutdown()
-		return 0, ErrShardFallback
-	}
-	for _, end := range ends {
-		if end > w.endTime {
-			w.endTime = end
-		}
-	}
-	return w.endTime, nil
-}
-
 // runRank runs one rank's main, converting a rankAbort unwind into a
 // recorded error. Anything else — including the engine's kill sentinel
 // during Shutdown — propagates.
@@ -381,9 +325,7 @@ func (w *World) runRank(r *Rank, t *kernel.Task, main func(r *Rank, t *kernel.Ta
 		if !ok {
 			panic(v)
 		}
-		w.errsMu.Lock()
 		w.errs = append(w.errs, fmt.Errorf("rank %d: %w", ab.rank, ab.err))
-		w.errsMu.Unlock()
 	}()
 	main(r, t)
 }
@@ -418,14 +360,6 @@ func (r *Rank) Isend(t *kernel.Task, dst, tag, bytes int) *Request {
 		panic(fmt.Sprintf("mpi: Isend to rank %d of %d", dst, len(r.w.ranks)))
 	}
 	par := r.w.par
-	if bytes > par.EagerLimit {
-		if g := r.w.cl.ShardGroup(); g != nil {
-			// A rendezvous completes the sender's request from the
-			// receiver's shard — cross-shard state the merge cannot order.
-			g.Abort()
-			r.abort(ErrShardFallback)
-		}
-	}
 	t.Compute(par.SendOps + float64(bytes)*par.PackOpsPerByte)
 	r.emitMPI(obs.EvMPISend, int64(dst), int64(bytes), "")
 	req := &Request{kind: 's', peer: dst, tag: tag}

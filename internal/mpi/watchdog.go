@@ -82,19 +82,19 @@ func (w *World) armWatchdog() {
 	if iv == 0 {
 		iv = DefaultWatchdogInterval
 	}
-	last := w.progress.Load()
+	last := w.progress
 	var tick func()
 	tick = func() {
 		w.wdEvent = nil
 		if w.remaining == 0 || w.wderr != nil {
 			return
 		}
-		if w.progress.Load() == last && w.allBlocked() && !w.faultsPending() {
+		if w.progress == last && w.allBlocked() && !w.faultsPending() {
 			w.wderr = w.noProgress(iv)
 			w.cl.Eng.Stop()
 			return
 		}
-		last = w.progress.Load()
+		last = w.progress
 		w.wdEvent = w.cl.Eng.After(iv, tick)
 	}
 	w.wdEvent = w.cl.Eng.After(iv, tick)

@@ -80,23 +80,17 @@ func Run(w *mpi.World, spec Spec) (Result, error) {
 		return Result{}, err
 	}
 
+	var maxEnd sim.Time
 	verified := true
 	iterDone := make([]int, p)
-	// Per-rank slots rather than a shared maximum: on a sharded cluster
-	// the rank bodies finish on concurrent shard goroutines.
-	ends := make([]sim.Time, p)
 
 	_, err = w.RunE(pb.profile, func(r *mpi.Rank, t *kernel.Task) {
 		iters := pb.run(r, t, p)
 		iterDone[r.ID()] = iters
-		ends[r.ID()] = t.Gettime()
-	})
-	var maxEnd sim.Time
-	for _, end := range ends {
-		if end > maxEnd {
+		if end := t.Gettime(); end > maxEnd {
 			maxEnd = end
 		}
-	}
+	})
 	if err != nil {
 		// Faulted run: report how far the job got before failing, with
 		// the transport/watchdog error attached (callers distinguish

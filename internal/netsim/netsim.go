@@ -118,8 +118,6 @@ type Fabric struct {
 	links [][]LinkStats
 
 	tr obs.Tracer // nil unless the run is traced
-
-	sh *fabricShards // nil unless the fabric is sharded (see shard.go)
 }
 
 // SetTracer attaches an observability tracer for internode delivery,
@@ -167,18 +165,7 @@ func (f *Fabric) Params() Params { return f.par }
 func (f *Fabric) Nodes() int { return len(f.egress) }
 
 // Stats reports total traffic carried and lost.
-func (f *Fabric) Stats() Stats {
-	total := f.stats
-	if f.sh != nil {
-		for _, s := range f.sh.stats {
-			total.Messages += s.Messages
-			total.Bytes += s.Bytes
-			total.Drops += s.Drops
-			total.Dropped += s.Dropped
-		}
-	}
-	return total
-}
+func (f *Fabric) Stats() Stats { return f.stats }
 
 // Link reports the traffic counters of the directed link src -> dst.
 func (f *Fabric) Link(src, dst int) LinkStats { return f.links[src][dst] }
@@ -201,9 +188,6 @@ func (f *Fabric) Deliver(src, dst int, bytes int, fn func()) sim.Time {
 	}
 	if fn == nil {
 		fn = func() {}
-	}
-	if f.sh != nil {
-		return f.deliverSharded(src, dst, bytes, fn)
 	}
 	f.stats.Messages++
 	f.stats.Bytes += int64(bytes)

@@ -95,7 +95,7 @@ func (s *SinkStats) Lossy() bool {
 // accounting, as recorded in the run manifest. Cells = Hits + Misses;
 // Regions = Certified + Rejected once the run finishes.
 type FastPathStats struct {
-	// Mode is the dispatch mode the run used (off, auto or model).
+	// Mode is the dispatch mode the run used (off or auto).
 	Mode string `json:"mode"`
 	// Hits counts cells served without discrete simulation; Misses
 	// counts cells that simulated (with per-reason breakdown below).

@@ -99,7 +99,7 @@ type Type uint8
 //	ProfSample      Node, A = CPU samples taken this tick
 //	ProfDrop        Node                       tick lost inside SMM
 //	ProfDefer       Node                       tick taken late at SMM exit
-//	FastPathHit     Name = replicate|merge|model, A = residual log-error (ppm), B = tolerance (ppm)
+//	FastPathHit     Name = replicate|merge, A = residual log-error (ppm), B = tolerance (ppm)
 //	FastPathMiss    Name = decline reason (workload, smm, faults, runs, ...)
 //	FastPathCertify Name = certified | rejected:<reason>, A = residual log-error (ppm), B = tolerance (ppm)
 //	UserSpan        Track, Name, Dur           caller-defined span [Time-Dur, Time]

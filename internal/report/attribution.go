@@ -364,7 +364,7 @@ func attributeNode(node int32, spans []obs.Span, wall sim.Time) (*Node, []RankSt
 	var smm []iv
 	var retrans []sim.Time
 	taskNames := map[int64]string{}
-	cpuEvents := map[int][]obs.Span{}
+	cpuEdges := map[int][]schedEdge{}
 	steals := map[int]map[string][]iv{} // cpu → noise family → steal windows
 	rankStats := map[int]*RankStats{}
 	hasRanks := false
@@ -393,7 +393,24 @@ func attributeNode(node int32, spans []obs.Span, wall sim.Time) (*Node, []RankSt
 				taskNames[s.A] = s.Name
 			}
 		case obs.TrackCPU:
-			cpuEvents[s.Index] = append(cpuEvents[s.Index], s)
+			edges := cpuEdges[s.Index]
+			if s.Instant {
+				switch s.Name {
+				case "run":
+					edges = append(edges, schedEdge{s.Start, s.A, true})
+				case "preempt":
+					edges = append(edges, schedEdge{s.Start, s.A, false})
+				case "migrate":
+					// One record, on the destination CPU, with the
+					// source CPU in B: the thread leaves B and enters
+					// this CPU.
+					if from := int(s.B); from >= 0 {
+						cpuEdges[from] = append(cpuEdges[from], schedEdge{s.Start, s.A, false})
+					}
+					edges = append(edges, schedEdge{s.Start, s.A, true})
+				}
+			}
+			cpuEdges[s.Index] = edges
 		case obs.TrackRank:
 			hasRanks = true
 			rs := rankStats[s.Index]
@@ -417,18 +434,18 @@ func attributeNode(node int32, spans []obs.Span, wall sim.Time) (*Node, []RankSt
 	// CPUs appear from scheduling events or from steal windows — a core
 	// that only ever got stolen from still owns a timeline.
 	var cpus []int
-	for c := range cpuEvents {
+	for c := range cpuEdges {
 		cpus = append(cpus, c)
 	}
 	for c := range steals {
-		if _, ok := cpuEvents[c]; !ok {
+		if _, ok := cpuEdges[c]; !ok {
 			cpus = append(cpus, c)
 		}
 	}
 	sort.Ints(cpus)
 	for _, c := range cpus {
 		nn.Children = append(nn.Children,
-			attributeCPU(c, cpuEvents[c], smm, steals[c], retrans, wall, hasRanks, taskNames))
+			attributeCPU(c, cpuEdges[c], smm, steals[c], retrans, wall, hasRanks, taskNames))
 	}
 
 	var ranks []RankStats
@@ -441,6 +458,14 @@ func attributeNode(node int32, spans []obs.Span, wall sim.Time) (*Node, []RankSt
 		ranks = append(ranks, *rankStats[r])
 	}
 	return nn, ranks
+}
+
+// schedEdge is one thread entering (run, migrate in) or leaving
+// (preempt, migrate out) a logical CPU.
+type schedEdge struct {
+	at    sim.Time
+	tid   int64
+	enter bool
 }
 
 // attributeCPU partitions one logical CPU's [0, wall] exactly:
@@ -458,36 +483,47 @@ func attributeNode(node int32, spans []obs.Span, wall sim.Time) (*Node, []RankSt
 // exactly; clamping never occurs by construction, and unmatched
 // scheduling edges are surfaced as anomalies instead of silently
 // skewing a bucket.
-func attributeCPU(cpu int, events []obs.Span, smm []iv, steals map[string][]iv,
+func attributeCPU(cpu int, edges []schedEdge, smm []iv, steals map[string][]iv,
 	retrans []sim.Time, wall sim.Time, hasRanks bool, taskNames map[int64]string) *Node {
 
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Start < events[j].Start })
-	var busy []iv
-	var open sim.Time
-	opened := false
-	anomalies := 0
-	occupant := map[int64]int{} // thread id → run-instant count, for the label
-	for _, e := range events {
-		if !e.Instant {
-			continue
+	// Edges pair per thread. One thread's edges at one instant (several
+	// scheduling passes at the same time) alternate enter/leave but can
+	// reach this list in any order, so they are folded into their net
+	// effect: more enters than leaves puts the thread on the CPU, more
+	// leaves takes it off.
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].at != edges[j].at {
+			return edges[i].at < edges[j].at
 		}
-		switch e.Name {
-		case "run", "migrate":
-			if !opened {
-				open, opened = e.Start, true
+		return edges[i].tid < edges[j].tid
+	})
+	var busy []iv
+	open := map[int64]sim.Time{} // thread id → when it entered
+	anomalies := 0
+	occupant := map[int64]int{} // thread id → enter count, for the label
+	for i := 0; i < len(edges); {
+		at, tid, net := edges[i].at, edges[i].tid, 0
+		for ; i < len(edges) && edges[i].at == at && edges[i].tid == tid; i++ {
+			if edges[i].enter {
+				net++
+				occupant[tid]++
+			} else {
+				net--
 			}
-			occupant[e.A]++
-		case "preempt":
-			if !opened {
-				anomalies++
-				continue
-			}
-			busy = append(busy, iv{open, e.Start})
-			opened = false
+		}
+		start, on := open[tid]
+		switch {
+		case net > 0 && !on:
+			open[tid] = at
+		case net < 0 && on:
+			busy = append(busy, iv{start, at})
+			delete(open, tid)
+		case net < 0:
+			anomalies++
 		}
 	}
-	if opened {
-		busy = append(busy, iv{open, wall})
+	for _, start := range open {
+		busy = append(busy, iv{start, wall})
 	}
 	busy = clipMerge(busy, wall)
 

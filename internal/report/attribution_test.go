@@ -141,6 +141,52 @@ func TestAttributeSMMDuringIdle(t *testing.T) {
 	}
 }
 
+// TestAttributeMigrateSwap pins migrate routing: the trace records a
+// migrate once, on the destination CPU with the source in B, and the
+// attribution must close the thread's span on the source. Two threads
+// swap CPUs at one instant, then T1 moves back, leaving cpu1 idle with
+// no preempt edge of its own:
+//
+//	cpu0  T1 [10,40]  T2 [40,50]  T1 [60,90]   → compute 70 ms
+//	cpu1  T2 [10,40]  T1 [40,60]               → compute 50 ms
+func TestAttributeMigrateSwap(t *testing.T) {
+	var buf bytes.Buffer
+	sink := obs.NewChromeSink(&buf)
+	ms := sim.Millisecond
+	for _, ev := range []obs.Event{
+		{Time: 10 * ms, Type: obs.EvSchedRun, Node: 0, Track: 0, A: 1},
+		{Time: 10 * ms, Type: obs.EvSchedRun, Node: 0, Track: 1, A: 2},
+		{Time: 40 * ms, Type: obs.EvSchedMigrate, Node: 0, Track: 1, A: 1, B: 0},
+		{Time: 40 * ms, Type: obs.EvSchedMigrate, Node: 0, Track: 0, A: 2, B: 1},
+		{Time: 50 * ms, Type: obs.EvSchedPreempt, Node: 0, Track: 0, A: 2},
+		{Time: 60 * ms, Type: obs.EvSchedMigrate, Node: 0, Track: 0, A: 1, B: 1},
+		{Time: 90 * ms, Type: obs.EvSchedPreempt, Node: 0, Track: 0, A: 1},
+		{Time: 100 * ms, Dur: 100 * ms, Type: obs.EvSweepCellFinish, Node: -1, Track: -1},
+	} {
+		sink.Emit(ev)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra := Attribute(tr)[0]
+	for cpu, want := range map[string]float64{"cpu0": 0.070, "cpu1": 0.050} {
+		n := ra.Tree.Find("node0", cpu)
+		if n == nil {
+			t.Fatalf("%s vertex missing", cpu)
+		}
+		if got := secsOf(t, n, CatCompute); math.Abs(got-want) > 1e-9 {
+			t.Errorf("%s compute = %.6f s, want %.6f s", cpu, got, want)
+		}
+	}
+	if v := ra.Tree.Check(0.01); len(v) != 0 {
+		t.Errorf("violations: %+v", v)
+	}
+}
+
 func TestCheckCatchesBrokenTrees(t *testing.T) {
 	// Category children that do not sum to the parent.
 	bad := &Node{Label: "cpu0", Kind: "cpu", Seconds: 1.0, Children: []*Node{

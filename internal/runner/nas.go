@@ -68,12 +68,6 @@ type NASOptions struct {
 	// Stats, when non-nil, accumulates simulated-run and engine-event
 	// counts. Execution-only accounting: cannot change a result.
 	Stats *ExecStats `json:"-"`
-	// Shards > 1 asks each run to partition its per-node event streams
-	// over that many engine shards (see internal/sim), falling back to
-	// the sequential engine when the run cannot be sharded
-	// byte-identically. Execution-only: any value yields bit-identical
-	// results.
-	Shards int `json:"-"`
 }
 
 // NASResult is a measured cell.
@@ -142,16 +136,6 @@ func RunNAS(o NASOptions) (NASResult, error) {
 	}
 	outs, _ := parsweep.Run(context.Background(), idx, o.Workers, func(i int) (runOut, error) {
 		var out runOut
-		if shardableNAS(o, sched) {
-			if r, resid, events, ok := tryShardedNAS(o, par, seed+int64(i)); ok {
-				o.Stats.AddRun(events)
-				out.ranks = r.Ranks
-				out.time = r.Time
-				out.verified = r.Verified
-				out.resid = resid
-				return out, nil
-			}
-		}
 		e := sim.New(seed + int64(i))
 		cp := cluster.Wyeast(o.Nodes, o.HTT, o.SMM)
 		cp.Node.SMI.DurationScale = o.SMIScale
@@ -222,61 +206,6 @@ func RunNAS(o NASOptions) (NASResult, error) {
 	return res, nil
 }
 
-// shardableNAS reports whether a cell may attempt the sharded engine:
-// a steady-state multi-node run — no SMIs (so the per-node RNG draws
-// that would couple shards never happen), no jitter (steal episodes
-// would perturb the lockstep windows), no faults (no perturber, no
-// reliable transport, no watchdog dependence), and untraced (event
-// timestamps would otherwise interleave nondeterministically on the
-// bus). Everything else falls back to the sequential engine, as does
-// any eligible run whose execution hits an ordering the deterministic
-// cross-shard merge cannot reproduce.
-func shardableNAS(o NASOptions, sched faults.Schedule) bool {
-	return o.Shards > 1 && o.Nodes >= 2 && o.SMM == smm.SMMNone &&
-		len(o.Jitter) == 0 && sched.Empty() && o.Tracer == nil
-}
-
-// tryShardedNAS runs one repetition on a sharded cluster: nodes
-// partitioned round-robin over min(o.Shards, o.Nodes) engines, windows
-// run concurrently, fabric traffic merged deterministically at window
-// barriers. ok=false means the attempt aborted (its state is fully
-// discarded) and the caller must rerun sequentially; an ok result is
-// byte-identical to the sequential run's.
-func tryShardedNAS(o NASOptions, par mpi.Params, seed int64) (r nas.Result, resid sim.Time, events uint64, ok bool) {
-	shards := o.Shards
-	if shards > o.Nodes {
-		shards = o.Nodes
-	}
-	engs := make([]*sim.Engine, shards)
-	for j := range engs {
-		// Steady-state runs never draw from the engine RNG (the fast
-		// path's certification proves the same property); the seed is
-		// kept for parity, not consumed.
-		engs[j] = sim.New(seed)
-	}
-	cp := cluster.Wyeast(o.Nodes, o.HTT, o.SMM)
-	cp.Node.SMI.DurationScale = o.SMIScale
-	cp.Node.CPU.SMTShares = o.SMTShares
-	cl, err := cluster.NewSharded(engs, cp)
-	if err != nil {
-		return nas.Result{}, 0, 0, false
-	}
-	cl.StartSMI()
-	w, err := mpi.NewWorld(cl, o.RanksPerNode, par)
-	if err != nil {
-		return nas.Result{}, 0, 0, false
-	}
-	r, err = nas.Run(w, nas.Spec{Bench: o.Bench, Class: o.Class})
-	if err != nil {
-		cl.ShardGroup().Shutdown()
-		return nas.Result{}, 0, 0, false
-	}
-	for _, e := range engs {
-		events += e.Events()
-	}
-	return r, cl.TotalSMMResidency() / sim.Time(len(cl.Nodes)), events, true
-}
-
 func init() {
 	Register(Workload{
 		Name:     "nas",
@@ -300,7 +229,6 @@ func init() {
 		Replicate: replicateNASSpec,
 		Predict:   predictNASSpec,
 		Seconds:   secondsNAS,
-		Analytic:  analyticNASSpec,
 	})
 }
 
@@ -402,7 +330,6 @@ func nasOptions(sp scenario.Spec, x Exec) (NASOptions, error) {
 		SMTShares:    shares,
 		Tracer:       x.Tracer,
 		Stats:        x.Stats,
-		Shards:       x.Shards,
 	}, nil
 }
 
@@ -471,30 +398,4 @@ func secondsNAS(m Measurement) (float64, bool) {
 		return 0, false
 	}
 	return m.NAS.Seconds(), true
-}
-
-// analyticNASSpec synthesizes the opt-in "model" tier's measurement:
-// the closed-form predicted runtime in the shape of a measured cell.
-func analyticNASSpec(sp scenario.Spec, predictedSeconds float64) (Measurement, error) {
-	o, err := nasOptions(sp, Exec{})
-	if err != nil {
-		return Measurement{}, err
-	}
-	runs := o.Runs
-	if runs <= 0 {
-		runs = 1
-	}
-	t := sim.FromSeconds(predictedSeconds)
-	res := NASResult{
-		Options:  o,
-		Ranks:    o.Nodes * o.RanksPerNode,
-		MeanTime: t,
-		Times:    make([]sim.Time, runs),
-		MOPs:     nas.MOPs(nas.Spec{Bench: o.Bench, Class: o.Class}, predictedSeconds),
-		Verified: true,
-	}
-	for i := range res.Times {
-		res.Times[i] = t
-	}
-	return Measurement{NAS: &res}, nil
 }

@@ -11,8 +11,8 @@ import (
 // TestLegacySMMNoiseBlockEquivalence is the behavior-preservation table
 // of the noise refactor: for every example scenario written with the
 // legacy smm block, the twin spec that lowers the same plan into a
-// noise-list smm entry must serialize byte-identically, across shard
-// counts and fast-path modes. This is what licenses migrating old
+// noise-list smm entry must serialize byte-identically under both
+// fast-path modes. This is what licenses migrating old
 // scenarios to the noise syntax without re-baselining goldens.
 func TestLegacySMMNoiseBlockEquivalence(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
@@ -43,21 +43,11 @@ func TestLegacySMMNoiseBlockEquivalence(t *testing.T) {
 			if err := twin.Validate(); err != nil {
 				t.Fatalf("twin spec invalid: %v", err)
 			}
-			type variant struct {
-				name     string
-				fastpath FastPathMode
-				shards   int
-			}
-			for _, v := range []variant{
-				{"off_shards1", FastOff, 1},
-				{"off_shards2", FastOff, 2},
-				{"auto_shards1", FastAuto, 1},
-				{"auto_shards2", FastAuto, 2},
-			} {
+			for _, mode := range []FastPathMode{FastOff, FastAuto} {
 				run := func(s scenario.Spec) ([]byte, string) {
-					x := Exec{Workers: 1, Shards: v.shards}
-					if v.fastpath != FastOff {
-						x.Dispatch = NewDispatcher(v.fastpath, 0)
+					x := Exec{Workers: 1}
+					if mode != FastOff {
+						x.Dispatch = NewDispatcher(mode, 0)
 					}
 					m, err := RunWith(s, x)
 					errStr := ""
@@ -66,17 +56,17 @@ func TestLegacySMMNoiseBlockEquivalence(t *testing.T) {
 					}
 					data, jerr := m.JSON()
 					if jerr != nil {
-						t.Fatalf("%s: encode: %v", v.name, jerr)
+						t.Fatalf("%s: encode: %v", mode, jerr)
 					}
 					return data, errStr
 				}
 				legacyData, legacyErr := run(sp)
 				noiseData, noiseErr := run(twin)
 				if noiseErr != legacyErr {
-					t.Errorf("%s: noise twin error %q, legacy %q", v.name, noiseErr, legacyErr)
+					t.Errorf("%s: noise twin error %q, legacy %q", mode, noiseErr, legacyErr)
 				}
 				if !bytes.Equal(noiseData, legacyData) {
-					t.Errorf("%s: noise twin measurement differs from legacy block", v.name)
+					t.Errorf("%s: noise twin measurement differs from legacy block", mode)
 				}
 			}
 		})

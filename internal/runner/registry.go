@@ -39,7 +39,7 @@ type Workload struct {
 	// directly — the equivalence tests pin this per workload.
 	Merge func(parent scenario.Spec, parts []Measurement) (Measurement, error)
 
-	// The four optional hooks below opt a workload into the analytic
+	// The three optional hooks below opt a workload into the analytic
 	// fast path (see dispatch.go). They are only consulted for
 	// steady-state specs: no SMM activity and no fault plan.
 
@@ -56,9 +56,6 @@ type Workload struct {
 	// Seconds extracts the simulated mean seconds the residual gate
 	// compares against the prediction.
 	Seconds func(Measurement) (float64, bool)
-	// Analytic synthesizes a Measurement carrying the closed-form
-	// predicted seconds — the opt-in "model" tier's output.
-	Analytic func(sp scenario.Spec, predictedSeconds float64) (Measurement, error)
 }
 
 // SplitRuns is the shared repetition-split rule: R > 1 repetitions

@@ -60,14 +60,6 @@ type Exec struct {
 	// consulted before any engine is built (see dispatch.go). Nil means
 	// -fastpath off: every cell simulates.
 	Dispatch *Dispatcher
-	// Shards > 1 partitions a single cell's per-node event streams over
-	// that many engine shards running on separate OS threads, with a
-	// deterministic cross-shard merge at communication boundaries.
-	// Cells whose shape cannot be sharded byte-identically (SMM
-	// activity, faults, cross-shard hazards detected mid-run) fall back
-	// to the sequential engine automatically, so any value yields
-	// bit-identical results.
-	Shards int
 	// RunsHint tells the dispatcher how many sibling repetitions the
 	// cell's region is expected to serve when the spec itself no longer
 	// says (the durable layer splits multi-run specs into Runs=1 cells

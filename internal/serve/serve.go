@@ -53,9 +53,8 @@ type Config struct {
 	CellTimeout time.Duration
 	Retries     int
 	// Dispatch, when non-nil, is the analytic fast-path dispatcher cells
-	// consult; Shards the per-cell engine shard count.
+	// consult.
 	Dispatch *runner.Dispatcher
-	Shards   int
 	// Tracer, when non-nil, receives the durable layer's cell events.
 	Tracer obs.Tracer
 }
@@ -124,7 +123,6 @@ func New(cfg Config) *Server {
 		CellTimeout: cfg.CellTimeout,
 		Retry:       durable.Policy{MaxRetries: cfg.Retries},
 		Dispatch:    cfg.Dispatch,
-		Shards:      cfg.Shards,
 		Tracer:      cfg.Tracer,
 	}
 	s.routes()

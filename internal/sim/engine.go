@@ -243,20 +243,6 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // it costs no allocation and no extra branch on the scheduling path.
 func (e *Engine) Events() uint64 { return e.processed }
 
-// HasPendingAt reports whether any pending event is scheduled at exactly
-// time t. The sharded fabric uses it to detect a cross-shard delivery
-// landing at the same instant as a shard-local event — an ordering the
-// sequential engine resolves by global scheduling order, which a shard
-// cannot reconstruct, so the run must abort instead of guessing.
-func (e *Engine) HasPendingAt(t Time) bool {
-	for _, ev := range e.queue {
-		if ev.at == t {
-			return true
-		}
-	}
-	return false
-}
-
 // PeekTime reports the time of the next pending event, or Forever if the
 // queue is empty.
 func (e *Engine) PeekTime() Time {
