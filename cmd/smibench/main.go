@@ -13,20 +13,12 @@
 //	smibench -benchjson results/BENCH_sweeps.json  # perf baseline
 //	smibench -table 1 -trace t.json -metrics m.json -manifest man.json
 //	smibench -all -store results/store -resume     # durable, resumable
-//	smibench -all -fastpath auto                   # analytic dispatch
 //
 // Every run is deterministic for a given -seed; -runs overrides the
 // paper's per-cell averaging (6 for MPI tables, 3 for figures).
 // -parallel runs independent sweep cells concurrently (1 = sequential,
 // 0 = all CPUs) without changing any output byte: every cell owns its
 // own simulation engine, and results are assembled in sweep order.
-//
-// -fastpath auto lets the analytic dispatcher serve steady-state cells
-// from certified regions without simulating them — byte-identical to
-// -fastpath off, proven per region at runtime (see internal/runner
-// dispatch.go). The manifest written by -manifest records the
-// dispatcher's full accounting (hits, misses with reasons,
-// certification evidence counts) after the run.
 //
 // -benchjson runs the sweep suite at quick scale sequentially and at
 // the -parallel worker count, recording wall time and allocations per
@@ -88,7 +80,6 @@ func benchMain(ctx context.Context) (code int) {
 	resume := flag.Bool("resume", false, "replay cells the -store already holds instead of re-running them")
 	cellTimeout := flag.Duration("cell-timeout", 0, "wall-clock deadline per sweep cell (0 = none); timed-out cells fail, they are not retried")
 	retries := flag.Int("retries", 0, "re-run transiently-failed cells up to this many times with exponential backoff")
-	fastpath := flag.String("fastpath", "off", "analytic fast-path dispatch: off or auto (byte-identical)")
 	flag.Parse()
 
 	// The recover must be registered before the sink-flush defers below
@@ -122,18 +113,10 @@ func benchMain(ctx context.Context) (code int) {
 	if workers < 1 {
 		workers = parsweep.Workers(0)
 	}
-	fpMode, err := runner.ParseFastPathMode(*fastpath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "smibench:", err)
-		return 2
-	}
 	cfg := experiments.Config{
 		Quick: *quick, Runs: *runs, Seed: *seed, Workers: workers,
 		Ctx: ctx, Resume: *resume, CellTimeout: *cellTimeout, Retries: *retries,
 		Stats: &runner.ExecStats{},
-	}
-	if fpMode != runner.FastOff {
-		cfg.Dispatch = runner.NewDispatcher(fpMode, 0)
 	}
 	if *storeDir != "" {
 		s, err := durable.Open(*storeDir)
@@ -147,16 +130,6 @@ func benchMain(ctx context.Context) (code int) {
 		data, err := m.JSON()
 		run(err)
 		run(os.WriteFile(*manifestOut, data, 0o644))
-		// Rewritten after the run (even an interrupted one) with the
-		// fast-path dispatcher's accounting attached, so the manifest
-		// documents exactly which cells were served without simulation.
-		// Best-effort: the rewrite may run while an error unwinds.
-		defer func() {
-			m.FastPath = cfg.Dispatch.Stats()
-			if data, err := m.JSON(); err == nil {
-				_ = os.WriteFile(*manifestOut, data, 0o644)
-			}
-		}()
 	}
 	// One bus spans every sweep requested on this invocation; per-run
 	// stamping keeps parallel cells separable in the timeline.

@@ -120,7 +120,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cellTimeout := fs.Duration("cell-timeout", 0, "wall-clock deadline per repetition cell (0 = none); timed-out cells fail, they are not retried")
 	retries := fs.Int("retries", 0, "re-run transiently-failed cells up to this many times with exponential backoff")
 	scenarioFile := fs.String("scenario", "", "run a declarative scenario file (JSON) instead of the cell flags")
-	fastpath := fs.String("fastpath", "off", "analytic fast-path dispatch: off or auto (byte-identical)")
 	listWorkloads := fs.Bool("list-workloads", false, "list the registered workloads and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -231,10 +230,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if err := runner.Validate(spec); err != nil {
-		return usage(err)
-	}
-	fpMode, err := runner.ParseFastPathMode(*fastpath)
-	if err != nil {
 		return usage(err)
 	}
 	// Reject malformed fault plans up front: a bad fault flag or field is
@@ -348,9 +343,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		CellTimeout: *cellTimeout,
 		Retry:       durable.Policy{MaxRetries: *retries},
 	}
-	if fpMode != runner.FastOff {
-		dopts.Dispatch = runner.NewDispatcher(fpMode, 0)
-	}
 	if bus != nil {
 		dopts.Tracer = bus // keep the interface nil when no bus was built
 	}
@@ -369,7 +361,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	m, st, err := durable.RunSpec(ctx, spec, dopts)
 	manifest.Durable = st
-	manifest.FastPath = dopts.Dispatch.Stats()
 	if dopts.Store != nil {
 		fmt.Fprintf(stderr, "durable: %d cells, %d cached, %d executed, %d failed\n",
 			st.Cells, st.Cached, st.Executed, st.Failed)

@@ -35,7 +35,6 @@ import (
 	"smistudy/internal/obs"
 	"smistudy/internal/paperdata"
 	"smistudy/internal/parsweep"
-	"smistudy/internal/runner"
 )
 
 func main() {
@@ -57,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	golden := fs.String("golden", "", "byte-compare each artifact's JSON against <dir>/<artifact>.json (quick tier)")
 	updateGolden := fs.Bool("update-golden", false, "regenerate the golden JSONs (into -golden, default results/golden) and exit")
 	smiScale := fs.Float64("smi-scale", 0, "physics perturbation: multiply every SMI duration (0 or 1 = off)")
-	fastpath := fs.String("fastpath", "off", "analytic fast-path dispatch: off or auto (byte-identical)")
 	expectFile := fs.String("expectations", "", "JSON expectation set overriding the built-in per-cell bands")
 	benchBaseline := fs.String("bench-baseline", "", "bench mode: committed BENCH_sweeps.json baseline")
 	benchNew := fs.String("bench-new", "", "bench mode: freshly measured BENCH_sweeps.json")
@@ -100,11 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "smivalidate:", err)
 		return 2
 	}
-	fpMode, err := runner.ParseFastPathMode(*fastpath)
-	if err != nil {
-		fmt.Fprintln(stderr, "smivalidate:", err)
-		return 2
-	}
 	cfg := fidelity.Config{
 		Full:     *full,
 		Only:     splitList(*only),
@@ -118,9 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			return *golden
 		}(),
-	}
-	if fpMode != runner.FastOff {
-		cfg.Dispatch = runner.NewDispatcher(fpMode, 0)
 	}
 	if *expectFile != "" {
 		data, err := os.ReadFile(*expectFile)

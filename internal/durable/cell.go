@@ -24,9 +24,6 @@ type SpecPlan struct {
 	// Merge reassembles the parent measurement from the cells'
 	// measurements. Nil when Cells is the spec itself (pass through).
 	Merge func(scenario.Spec, []runner.Measurement) (runner.Measurement, error)
-	// Runs is the parent spec's repetition count, the fast-path
-	// dispatcher's RunsHint for every cell.
-	Runs int
 }
 
 // PlanSpec validates a spec and decomposes it into its durable cells,
@@ -55,9 +52,9 @@ func PlanSpec(sp scenario.Spec, store *Store) (SpecPlan, error) {
 		cells = w.Split(sp)
 	}
 	if len(cells) == 0 {
-		return SpecPlan{Key: key, Cells: []scenario.Spec{sp}, Runs: sp.Runs}, nil
+		return SpecPlan{Key: key, Cells: []scenario.Spec{sp}}, nil
 	}
-	return SpecPlan{Key: key, Cells: cells, Merge: w.Merge, Runs: sp.Runs}, nil
+	return SpecPlan{Key: key, Cells: cells, Merge: w.Merge}, nil
 }
 
 // CellRequest identifies one durable execution unit for callers that
@@ -69,8 +66,6 @@ type CellRequest struct {
 	// address and the cell's index in SpecPlan.Cells.
 	Key string
 	Run int
-	// RunsHint is the parent's repetition count (SpecPlan.Runs).
-	RunsHint int
 	// Global is the trace run index stamped on the cell's events.
 	Global int32
 }
@@ -101,7 +96,6 @@ func RunCell(ctx context.Context, req CellRequest, o Options, st *Stats) CellRes
 		key:     req.Key,
 		cellIdx: req.Run,
 		global:  int(req.Global),
-		runs:    req.RunsHint,
 	}
 	r := runItem(ctx, it, o, st)
 	return CellResult{M: r.m, Cached: r.cached, Err: r.err}

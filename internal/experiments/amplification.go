@@ -123,6 +123,8 @@ func AmplificationStudy(cfg Config) (string, error) {
 
 // amplifyRun measures one benchmark run under the given SMM level on a
 // fresh engine, returning the run time and the per-node SMM residency.
+// It counts as one cell in cfg.Stats.
 func amplifyRun(cfg Config, b smistudy.Benchmark, class smistudy.Class, nodes int, level smm.Level) (sim.Time, sim.Time, error) {
-	return runner.AmplifyRun(cfg.seed(), b, class, nodes, level, cfg.SMIScale)
+	cfg.Stats.AddCell()
+	return runner.AmplifyRun(cfg.seed(), b, class, nodes, level, cfg.SMIScale, cfg.Stats)
 }

@@ -60,14 +60,8 @@ type Config struct {
 	CellTimeout time.Duration
 	// Retries re-runs transiently-failed cells with exponential backoff.
 	Retries int
-	// Dispatch, when non-nil, is the analytic fast-path dispatcher every
-	// sweep cell consults before building an engine (see runner
-	// dispatch.go). One dispatcher spans the whole run so region
-	// evidence is shared across sweeps. Nil means -fastpath off.
-	Dispatch *runner.Dispatcher
 	// Stats, when non-nil, accumulates execution accounting across every
-	// cell of every sweep: cells dispatched, simulated runs, engine
-	// events, fast-path hits and misses.
+	// cell of every sweep: cells run, simulated runs and engine events.
 	Stats *runner.ExecStats
 }
 
@@ -89,7 +83,6 @@ func (c Config) durableOptions() durable.Options {
 		CellTimeout: c.CellTimeout,
 		Retry:       durable.Policy{MaxRetries: c.Retries},
 		Tracer:      c.Tracer,
-		Dispatch:    c.Dispatch,
 		Stats:       c.Stats,
 	}
 }

@@ -66,11 +66,12 @@ func lossSweep(cfg Config) (string, error) {
 		opts := smistudy.NASOptions{
 			Bench: pt.bench, Class: smistudy.ClassA,
 			Nodes: 4, RanksPerNode: 1, Seed: cfg.seed(),
-			Tracer: cfg.Tracer,
+			Tracer: cfg.Tracer, Stats: cfg.Stats,
 		}
 		if pt.rate > 0 {
 			opts.Faults = &smistudy.FaultPlan{LossProb: pt.rate}
 		}
+		cfg.Stats.AddCell()
 		res, err := smistudy.RunNAS(opts)
 		if err != nil {
 			return smistudy.NASResult{}, fmt.Errorf("experiments: %s.A at %.1f%% loss: %w", pt.bench, pt.rate*100, err)
@@ -94,13 +95,6 @@ func lossSweep(cfg Config) (string, error) {
 	return "Loss sweep (class A, 4 nodes, ack/retransmit transport when lossy;\n" +
 		"the 0% rows are the fire-and-forget baseline, so their slowdown\n" +
 		"column also prices the ack protocol itself):\n\n" + tab.String(), nil
-}
-
-// faultedNASRun runs one benchmark over an explicit fault schedule,
-// reporting the result plus the total SMM residency the faults
-// injected.
-func faultedNASRun(seed int64, spec nas.Spec, nodes int, sched faults.Schedule) (nas.Result, sim.Time, error) {
-	return runner.FaultedNAS(seed, spec, nodes, sched)
 }
 
 // DegradeResult is the structured single-node fault-amplification
@@ -153,7 +147,8 @@ func DegradeData(cfg Config) (DegradeResult, error) {
 	}
 	scheds := []faults.Schedule{{}, one, all, storm}
 	outs, err := parsweep.Run(cfg.ctx(), scheds, cfg.Workers, func(s faults.Schedule) (faultedOut, error) {
-		res, residency, err := faultedNASRun(cfg.seed(), spec, nodes, s)
+		cfg.Stats.AddCell()
+		res, residency, err := runner.FaultedNAS(cfg.seed(), spec, nodes, s, cfg.Stats)
 		return faultedOut{res, residency}, err
 	})
 	if err != nil {
@@ -220,10 +215,11 @@ func degradeAmplification(cfg Config) (string, error) {
 // waiting. Either way the run ends at a bounded simulated time instead
 // of hanging.
 func crashTiming(cfg Config) (string, error) {
+	cfg.Stats.AddCell()
 	base, err := smistudy.RunNAS(smistudy.NASOptions{
 		Bench: smistudy.EP, Class: smistudy.ClassA,
 		Nodes: 4, RanksPerNode: 1, Seed: cfg.seed(),
-		Tracer: cfg.Tracer,
+		Tracer: cfg.Tracer, Stats: cfg.Stats,
 	})
 	if err != nil {
 		return "", err
@@ -240,12 +236,14 @@ func crashTiming(cfg Config) (string, error) {
 	}
 	outs, poolErr := parsweep.Run(cfg.ctx(), fractions, cfg.Workers, func(frac float64) (crashOut, error) {
 		crashAt := sim.FromSeconds(base.MeanTime.Seconds() * frac)
+		cfg.Stats.AddCell()
 		res, err := smistudy.RunNAS(smistudy.NASOptions{
 			Bench: smistudy.EP, Class: smistudy.ClassA,
 			Nodes: 4, RanksPerNode: 1, Seed: cfg.seed(),
 			Watchdog: 10 * sim.Second,
 			Faults:   &smistudy.FaultPlan{CrashNode: 1, CrashAt: crashAt},
 			Tracer:   cfg.Tracer,
+			Stats:    cfg.Stats,
 		})
 		return crashOut{res, err}, nil
 	})

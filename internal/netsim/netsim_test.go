@@ -72,7 +72,7 @@ func TestIngressSerialization(t *testing.T) {
 	}
 }
 
-func TestIntraNodeFastPath(t *testing.T) {
+func TestIntraNodeLoopback(t *testing.T) {
 	e, f := fabric(t, 2)
 	var at sim.Time
 	f.Deliver(1, 1, 1_000_000, func() { at = e.Now() }) // 1MB at 1GB/s + 1µs

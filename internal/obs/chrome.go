@@ -200,7 +200,6 @@ const (
 	tidSMM       = TidSMM
 	tidSteal0    = TidSteal0
 	tidCells     = TidCells
-	tidFastPath  = TidFastPath
 )
 
 // Emit implements Tracer.
@@ -277,16 +276,6 @@ func (c *ChromeSink) Emit(ev Event) {
 			name += " " + ev.Name
 		}
 		c.instant(pid, tidCells, name, cat, ev.Time, ev.A, ev.B)
-	case EvFastPathHit, EvFastPathMiss, EvFastPathCertify:
-		// Dispatcher decisions land on the run's cluster process so a
-		// report can tell fast-path-served cells (no engine timeline at
-		// all) from simulated ones.
-		pid := c.ensureTrack(ev.Run, -1, tidFastPath, "fastpath")
-		name := ev.Type.String()
-		if ev.Name != "" {
-			name += " " + ev.Name
-		}
-		c.instant(pid, tidFastPath, name, cat, ev.Time, ev.A, ev.B)
 	case EvUserSpan:
 		pid := c.ensureTrack(ev.Run, ev.Node, ev.Track, ev.Name)
 		c.complete(pid, ev.Track, ev.Name, cat, ev.Time-ev.Dur, ev.Dur, ev.A, ev.B)

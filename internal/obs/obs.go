@@ -99,9 +99,6 @@ type Type uint8
 //	ProfSample      Node, A = CPU samples taken this tick
 //	ProfDrop        Node                       tick lost inside SMM
 //	ProfDefer       Node                       tick taken late at SMM exit
-//	FastPathHit     Name = replicate|merge, A = residual log-error (ppm), B = tolerance (ppm)
-//	FastPathMiss    Name = decline reason (workload, smm, faults, runs, ...)
-//	FastPathCertify Name = certified | rejected:<reason>, A = residual log-error (ppm), B = tolerance (ppm)
 //	UserSpan        Track, Name, Dur           caller-defined span [Time-Dur, Time]
 //	StealEnter      Node, Track = CPU, Name = family    core-scoped steal begins
 //	StealExit       Node, Track = CPU, Name = family, Dur = stolen; span [Time-Dur, Time]
@@ -133,9 +130,6 @@ const (
 	EvProfSample
 	EvProfDrop
 	EvProfDefer
-	EvFastPathHit
-	EvFastPathMiss
-	EvFastPathCertify
 	EvUserSpan
 	EvStealEnter
 	EvStealExit
@@ -171,9 +165,6 @@ var typeNames = [numTypes]string{
 	EvProfSample:       "sample",
 	EvProfDrop:         "sample_lost",
 	EvProfDefer:        "sample_deferred",
-	EvFastPathHit:      "fastpath_hit",
-	EvFastPathMiss:     "fastpath_miss",
-	EvFastPathCertify:  "fastpath_certify",
 	EvUserSpan:         "span",
 	EvStealEnter:       "steal_enter",
 	EvStealExit:        "steal",
@@ -206,9 +197,6 @@ var typeCats = [numTypes]Category{
 	EvProfSample:       CatProf,
 	EvProfDrop:         CatProf,
 	EvProfDefer:        CatProf,
-	EvFastPathHit:      CatSweep,
-	EvFastPathMiss:     CatSweep,
-	EvFastPathCertify:  CatSweep,
 	EvUserSpan:         CatTask,
 	EvStealEnter:       CatNoise,
 	EvStealExit:        CatNoise,

@@ -183,7 +183,7 @@ func TestTrackOfLayout(t *testing.T) {
 		index     int
 	}{
 		{-1, TidCells, TrackCells, 0},
-		{-1, TidFastPath, TrackFastPath, 0},
+		{-1, 2, TrackUnknown, 0}, // legacy dispatcher-decision track
 		{0, TidCPU0, TrackCPU, 0},
 		{0, TidCPU0 + 7, TrackCPU, 7},
 		{0, TidRank0, TrackRank, 0},

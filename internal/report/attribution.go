@@ -18,7 +18,6 @@ package report
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"smistudy/internal/obs"
 	"smistudy/internal/sim"
@@ -33,7 +32,6 @@ const (
 	CatCommWait   = "comm-wait"        // off-CPU on a node with MPI ranks
 	CatRetransmit = "fault-retransmit" // off-CPU while the transport retransmitted
 	CatIdle       = "idle"             // off-CPU on a node without MPI ranks
-	CatFastPath   = "fast-path-skipped"
 )
 
 // Node is one vertex of a time-attribution tree.
@@ -50,7 +48,7 @@ type Node struct {
 	Parallel bool    `json:"parallel,omitempty"`
 	Children []*Node `json:"children,omitempty"`
 	// Count carries a category's event count where one is meaningful
-	// (retransmissions, fast-path hits).
+	// (retransmissions).
 	Count int64 `json:"count,omitempty"`
 	// Anomalies records accounting irregularities found while building
 	// this vertex (clamped negatives, unmatched span edges) — the
@@ -172,9 +170,6 @@ type RunAttribution struct {
 	WallSeconds float64     `json:"wall_seconds"`
 	Tree        *Node       `json:"tree"`
 	Ranks       []RankStats `json:"ranks,omitempty"`
-	// FastPathHits counts dispatcher hits recorded for this run: cells
-	// served without any engine timeline.
-	FastPathHits int64 `json:"fastpath_hits,omitempty"`
 }
 
 // iv is a half-open interval [lo, hi) on the simulation timeline.
@@ -309,9 +304,6 @@ func attributeRun(tr *obs.Trace, run int32) RunAttribution {
 			wall = s.Dur
 			haveCell = true
 		}
-		if s.Kind == obs.TrackFastPath && s.Instant && strings.HasPrefix(s.Name, "fastpath_hit") {
-			ra.FastPathHits++
-		}
 	}
 	if !haveCell {
 		for _, s := range spans {
@@ -326,13 +318,6 @@ func attributeRun(tr *obs.Trace, run int32) RunAttribution {
 	}
 	root.Seconds = wall.Seconds()
 	ra.WallSeconds = wall.Seconds()
-
-	if ra.FastPathHits > 0 {
-		root.Children = append(root.Children, &Node{
-			Label: CatFastPath, Kind: "category", Count: ra.FastPathHits,
-			Seconds: wall.Seconds(),
-		})
-	}
 
 	// Group the run's node-scoped spans by node.
 	perNode := map[int32][]obs.Span{}

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -23,6 +24,16 @@ import (
 // (idle [0,10] is not).
 func syntheticTrace(t *testing.T) *obs.Trace {
 	t.Helper()
+	tr, err := obs.ReadTrace(bytes.NewReader(syntheticTraceBytes(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// syntheticTraceBytes is syntheticTrace's encoded Chrome document.
+func syntheticTraceBytes(t *testing.T) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	sink := obs.NewChromeSink(&buf)
 	ms := sim.Millisecond
@@ -41,11 +52,7 @@ func syntheticTrace(t *testing.T) *obs.Trace {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
+	return buf.Bytes()
 }
 
 func secsOf(t *testing.T, cpu *Node, cat string) float64 {
@@ -97,6 +104,58 @@ func TestAttributeExactPartition(t *testing.T) {
 	}
 	if len(ra.Ranks) != 1 || ra.Ranks[0].Sends != 1 || ra.Ranks[0].SendBytes != 2048 {
 		t.Errorf("rank stats = %+v, want one rank with one 2048 B send", ra.Ranks)
+	}
+}
+
+// TestAttributeLegacyFastPathInstants: traces written while the
+// simulator had an analytic fast path carry dispatcher decisions as
+// instants on cluster tid 2. They must read as an unknown track and
+// leave the attribution exactly as it is without them.
+func TestAttributeLegacyFastPathInstants(t *testing.T) {
+	clean := syntheticTraceBytes(t)
+	legacy := `{"name":"thread_name","ph":"M","pid":0,"tid":2,"args":{"name":"fastpath"}},
+{"name":"fastpath_miss smm","cat":"sweep","ph":"i","s":"t","ts":0.000,"pid":0,"tid":2,"args":{"a":0,"b":0}},
+{"name":"fastpath_certify certified","cat":"sweep","ph":"i","s":"t","ts":0.000,"pid":0,"tid":2,"args":{"a":1200,"b":50000}},
+{"name":"fastpath_hit replicate","cat":"sweep","ph":"i","s":"t","ts":0.000,"pid":0,"tid":2,"args":{"a":1200,"b":50000}},
+`
+	head := []byte("{\"traceEvents\":[\n")
+	if !bytes.HasPrefix(clean, head) {
+		t.Fatalf("unexpected trace header: %.40q", clean)
+	}
+	data := append(append(append([]byte(nil), head...), legacy...), clean[len(head):]...)
+	tr, err := obs.ReadTrace(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("legacy trace failed to read: %v", err)
+	}
+	var decisions int
+	for _, s := range tr.Spans {
+		if strings.HasPrefix(s.Name, "fastpath_") {
+			decisions++
+			if s.Kind != obs.TrackUnknown {
+				t.Errorf("%q classified as %v, want unknown", s.Name, s.Kind)
+			}
+		}
+	}
+	if decisions != 3 {
+		t.Fatalf("read %d legacy decision instants, want 3", decisions)
+	}
+	runs := Attribute(tr)
+	if len(runs) != 1 {
+		t.Fatalf("runs = %d, want 1", len(runs))
+	}
+	if v := runs[0].Tree.Check(0.01); len(v) != 0 {
+		t.Errorf("legacy fast-path instants broke the invariants: %+v", v)
+	}
+	want, err := json.Marshal(Attribute(syntheticTrace(t))[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(runs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("legacy instants changed the attribution:\n got %s\nwant %s", got, want)
 	}
 }
 

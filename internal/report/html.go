@@ -20,7 +20,6 @@ var catCSS = map[string]string{
 	CatCommWait:       "#1f77b4",
 	CatRetransmit:     "#ff7f0e",
 	CatIdle:           "#c7c7c7",
-	CatFastPath:       "#9467bd",
 }
 
 // catColor resolves a category's color. Unknown "<family>-stolen"
@@ -110,9 +109,6 @@ svg { border: 1px solid #eee; margin: 0.5em 0; }
 		writeTree(&b, r.Aggregate, r.Aggregate.Seconds)
 		for _, ra := range r.Runs {
 			fmt.Fprintf(&b, "<h3>run %d <span class=\"dim\">(%.4g s wall", ra.Run, ra.WallSeconds)
-			if ra.FastPathHits > 0 {
-				fmt.Fprintf(&b, ", %d fast-path hits", ra.FastPathHits)
-			}
 			b.WriteString(")</span></h3>\n")
 			writeTree(&b, ra.Tree, ra.Tree.Seconds)
 			if len(ra.Ranks) > 0 {
@@ -162,7 +158,7 @@ svg { border: 1px solid #eee; margin: 0.5em 0; }
 
 func legendHTML() string {
 	var b strings.Builder
-	for _, c := range []string{CatCompute, CatSMMStolen, "osjitter-stolen", CatCommWait, CatRetransmit, CatIdle, CatFastPath} {
+	for _, c := range []string{CatCompute, CatSMMStolen, "osjitter-stolen", CatCommWait, CatRetransmit, CatIdle} {
 		fmt.Fprintf(&b, `<span class="bar" style="width:0.8em;background:%s"></span> %s&nbsp; `, catColor(c), esc(c))
 	}
 	return b.String()

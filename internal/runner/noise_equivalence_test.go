@@ -11,9 +11,9 @@ import (
 // TestLegacySMMNoiseBlockEquivalence is the behavior-preservation table
 // of the noise refactor: for every example scenario written with the
 // legacy smm block, the twin spec that lowers the same plan into a
-// noise-list smm entry must serialize byte-identically under both
-// fast-path modes. This is what licenses migrating old
-// scenarios to the noise syntax without re-baselining goldens.
+// noise-list smm entry must serialize byte-identically. This is what
+// licenses migrating old scenarios to the noise syntax without
+// re-baselining goldens.
 func TestLegacySMMNoiseBlockEquivalence(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
 	if err != nil || len(files) == 0 {
@@ -43,31 +43,25 @@ func TestLegacySMMNoiseBlockEquivalence(t *testing.T) {
 			if err := twin.Validate(); err != nil {
 				t.Fatalf("twin spec invalid: %v", err)
 			}
-			for _, mode := range []FastPathMode{FastOff, FastAuto} {
-				run := func(s scenario.Spec) ([]byte, string) {
-					x := Exec{Workers: 1}
-					if mode != FastOff {
-						x.Dispatch = NewDispatcher(mode, 0)
-					}
-					m, err := RunWith(s, x)
-					errStr := ""
-					if err != nil {
-						errStr = err.Error()
-					}
-					data, jerr := m.JSON()
-					if jerr != nil {
-						t.Fatalf("%s: encode: %v", mode, jerr)
-					}
-					return data, errStr
+			run := func(s scenario.Spec) ([]byte, string) {
+				m, err := RunWith(s, Exec{Workers: 1})
+				errStr := ""
+				if err != nil {
+					errStr = err.Error()
 				}
-				legacyData, legacyErr := run(sp)
-				noiseData, noiseErr := run(twin)
-				if noiseErr != legacyErr {
-					t.Errorf("%s: noise twin error %q, legacy %q", mode, noiseErr, legacyErr)
+				data, jerr := m.JSON()
+				if jerr != nil {
+					t.Fatalf("encode: %v", jerr)
 				}
-				if !bytes.Equal(noiseData, legacyData) {
-					t.Errorf("%s: noise twin measurement differs from legacy block", mode)
-				}
+				return data, errStr
+			}
+			legacyData, legacyErr := run(sp)
+			noiseData, noiseErr := run(twin)
+			if noiseErr != legacyErr {
+				t.Errorf("noise twin error %q, legacy %q", noiseErr, legacyErr)
+			}
+			if !bytes.Equal(noiseData, legacyData) {
+				t.Error("noise twin measurement differs from legacy block")
 			}
 		})
 	}

@@ -38,24 +38,6 @@ type Workload struct {
 	// byte-identical (canonical JSON) to running the parent spec
 	// directly — the equivalence tests pin this per workload.
 	Merge func(parent scenario.Spec, parts []Measurement) (Measurement, error)
-
-	// The three optional hooks below opt a workload into the analytic
-	// fast path (see dispatch.go). They are only consulted for
-	// steady-state specs: no SMM activity and no fault plan.
-
-	// Replicate rebuilds the Measurement that simulating the
-	// single-repetition target spec would produce from a prototype
-	// measurement of the same region (same shape, any seed). Only legal
-	// for seed-independent regions — the dispatcher proves that
-	// empirically (shadow repetition) before ever serving from it.
-	Replicate func(target scenario.Spec, proto Measurement) (Measurement, error)
-	// Predict returns the closed-form predicted mean runtime in seconds
-	// for a steady-state spec; an error means the analytic model does
-	// not cover the shape (the region is then rejected, never served).
-	Predict func(scenario.Spec) (float64, error)
-	// Seconds extracts the simulated mean seconds the residual gate
-	// compares against the prediction.
-	Seconds func(Measurement) (float64, bool)
 }
 
 // SplitRuns is the shared repetition-split rule: R > 1 repetitions

@@ -3,24 +3,20 @@ package runner
 import "sync/atomic"
 
 // ExecStats aggregates execution accounting across every cell an
-// invocation runs: how many cells were dispatched, how many discrete
-// simulations actually executed, how many engine events fired, and how
-// the analytic fast path resolved. Like Exec itself the stats are
-// execution-only — they never enter a Measurement, so stored results
-// stay a pure function of the measured cell. All fields are updated
-// with atomic adds; one ExecStats may be shared by any number of
-// concurrent workers.
+// invocation runs: how many cells were run, how many discrete
+// simulations actually executed and how many engine events fired. Like
+// Exec itself the stats are execution-only — they never enter a
+// Measurement, so stored results stay a pure function of the measured
+// cell. All fields are updated with atomic adds; one ExecStats may be
+// shared by any number of concurrent workers.
 type ExecStats struct {
-	// Cells counts RunWith invocations (one per dispatched cell).
+	// Cells counts cells run: one per RunWith invocation, plus each
+	// sweep point a study records with AddCell.
 	Cells int64
 	// Runs counts simulated repetitions that actually built an engine.
 	Runs int64
 	// Events counts engine events fired across all simulated runs.
 	Events int64
-	// FastHits counts cells served by the analytic fast path without
-	// discrete simulation; FastMisses counts cells that simulated.
-	FastHits   int64
-	FastMisses int64
 }
 
 // AddRun records one executed simulation repetition and its engine's
@@ -33,21 +29,11 @@ func (s *ExecStats) AddRun(events uint64) {
 	atomic.AddInt64(&s.Events, int64(events))
 }
 
-func (s *ExecStats) addCell() {
+// AddCell records one cell. Sweeps that call the typed entry points
+// directly, bypassing RunWith, count their own points with it.
+func (s *ExecStats) AddCell() {
 	if s != nil {
 		atomic.AddInt64(&s.Cells, 1)
-	}
-}
-
-func (s *ExecStats) addHit() {
-	if s != nil {
-		atomic.AddInt64(&s.FastHits, 1)
-	}
-}
-
-func (s *ExecStats) addMiss() {
-	if s != nil {
-		atomic.AddInt64(&s.FastMisses, 1)
 	}
 }
 
@@ -56,12 +42,6 @@ func (s *ExecStats) CellsValue() int64 { return atomic.LoadInt64(&s.Cells) }
 
 // EventsValue returns the current event count (atomically).
 func (s *ExecStats) EventsValue() int64 { return atomic.LoadInt64(&s.Events) }
-
-// HitsValue returns the current fast-path hit count (atomically).
-func (s *ExecStats) HitsValue() int64 { return atomic.LoadInt64(&s.FastHits) }
-
-// MissesValue returns the current fast-path miss count (atomically).
-func (s *ExecStats) MissesValue() int64 { return atomic.LoadInt64(&s.FastMisses) }
 
 // RunsValue returns the current executed-repetition count (atomically).
 func (s *ExecStats) RunsValue() int64 { return atomic.LoadInt64(&s.Runs) }

@@ -20,7 +20,8 @@ import (
 
 // AmplifyRun measures one benchmark run under the given SMM level on a
 // fresh engine, returning the run time and the per-node SMM residency.
-func AmplifyRun(seed int64, b nas.Benchmark, class nas.Class, nodes int, level smm.Level, smiScale float64) (sim.Time, sim.Time, error) {
+// stats (optional) records the run and its engine events.
+func AmplifyRun(seed int64, b nas.Benchmark, class nas.Class, nodes int, level smm.Level, smiScale float64, stats *ExecStats) (sim.Time, sim.Time, error) {
 	e := sim.New(seed)
 	par := cluster.Wyeast(nodes, false, level)
 	par.Node.SMI.DurationScale = smiScale
@@ -34,6 +35,7 @@ func AmplifyRun(seed int64, b nas.Benchmark, class nas.Class, nodes int, level s
 		return 0, 0, err
 	}
 	res, err := nas.Run(w, nas.Spec{Bench: b, Class: class})
+	stats.AddRun(e.Events())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -42,8 +44,9 @@ func AmplifyRun(seed int64, b nas.Benchmark, class nas.Class, nodes int, level s
 
 // FaultedNAS runs one benchmark over an explicit fault schedule on a
 // quiet (no-SMI) cluster, reporting the result plus the total SMM
-// residency the faults injected.
-func FaultedNAS(seed int64, spec nas.Spec, nodes int, sched faults.Schedule) (nas.Result, sim.Time, error) {
+// residency the faults injected. stats (optional) records the run and
+// its engine events.
+func FaultedNAS(seed int64, spec nas.Spec, nodes int, sched faults.Schedule, stats *ExecStats) (nas.Result, sim.Time, error) {
 	e := sim.New(seed)
 	cl, err := cluster.New(e, cluster.Wyeast(nodes, false, smm.SMMNone))
 	if err != nil {
@@ -65,6 +68,7 @@ func FaultedNAS(seed int64, spec nas.Spec, nodes int, sched faults.Schedule) (na
 		w.SetFaultObserver(inj)
 	}
 	res, err := nas.Run(w, spec)
+	stats.AddRun(e.Events())
 	return res, cl.TotalSMMResidency(), err
 }
 

@@ -112,11 +112,10 @@ func (j *job) refs() ([]durable.CellRequest, []cellRef) {
 	for i, c := range j.cells {
 		p := j.plans[c.specIdx]
 		reqs[i] = durable.CellRequest{
-			Spec:     p.Cells[c.run],
-			Key:      p.Key,
-			Run:      c.run,
-			RunsHint: p.Runs,
-			Global:   int32(i),
+			Spec:   p.Cells[c.run],
+			Key:    p.Key,
+			Run:    c.run,
+			Global: int32(i),
 		}
 		refs[i] = cellRef{j: j, cell: i}
 	}

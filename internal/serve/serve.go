@@ -34,7 +34,6 @@ import (
 
 	"smistudy/internal/durable"
 	"smistudy/internal/obs"
-	"smistudy/internal/runner"
 	"smistudy/internal/scenario"
 )
 
@@ -52,9 +51,6 @@ type Config struct {
 	// CellTimeout, Retries: the durable per-cell policy.
 	CellTimeout time.Duration
 	Retries     int
-	// Dispatch, when non-nil, is the analytic fast-path dispatcher cells
-	// consult.
-	Dispatch *runner.Dispatcher
 	// Tracer, when non-nil, receives the durable layer's cell events.
 	Tracer obs.Tracer
 }
@@ -122,7 +118,6 @@ func New(cfg Config) *Server {
 		Resume:      true,
 		CellTimeout: cfg.CellTimeout,
 		Retry:       durable.Policy{MaxRetries: cfg.Retries},
-		Dispatch:    cfg.Dispatch,
 		Tracer:      cfg.Tracer,
 	}
 	s.routes()
