@@ -14,13 +14,15 @@
 // a CPU is onlined or offlined) the model integrates progress since the
 // last change and recomputes rates, scheduling a completion event for the
 // next job to finish. This gives exact piecewise-linear progress without
-// per-timeslice events.
+// per-timeslice events. Placement is recomputed only when one of its
+// inputs changed; a stall or a profile change keeps every thread where
+// it is and recomputes rates alone.
 package cpu
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"smistudy/internal/obs"
 	"smistudy/internal/sim"
@@ -137,7 +139,7 @@ type Thread struct {
 	model *Model
 	pin   int // logical CPU the thread is pinned to, -1 if unpinned
 
-	job     *job
+	job     job      // outstanding compute work, if job.active
 	cpu     *Logical // current assignment, nil if none
 	rate    float64  // current ops/sec
 	osShare float64  // current share of a CPU as the OS accounts it
@@ -154,7 +156,10 @@ type Thread struct {
 	lastCPU int
 }
 
+// job is a thread's outstanding compute work. It lives inside Thread,
+// so starting one allocates nothing.
 type job struct {
+	active    bool
 	remaining float64
 	total     float64
 	onDone    func()
@@ -162,23 +167,36 @@ type job struct {
 
 // Model is the processor of one node.
 type Model struct {
-	eng      *sim.Engine
-	par      Params
+	eng *sim.Engine
+	par Params
+	// logical holds the CPUs in ID order. Linux numbering puts every
+	// sibling-0 CPU before any sibling 1, each half in physical-core
+	// order, so ID order is also the placement order: physical cores
+	// first, hyper-threaded siblings second.
 	logical  []*Logical
-	threads  map[*Thread]struct{}
-	runnable []*Thread
+	threads  []*Thread // registered threads, in id order
+	runnable []*Thread // threads with a job at the last assign, in id order
+
+	// placed reports that the assignment still matches its inputs: the
+	// set of threads with a job, their pins and the online mask. Every
+	// change to one of them clears it, and the next reschedule reruns
+	// assign; any other change keeps the placement and recomputes rates.
+	placed bool
+	// Scratch lists for assign, reused across calls.
+	online   []*Logical
+	unpinned []*Thread
 
 	stalled    bool
 	stallDepth int
 	stallTime  sim.Time // accumulated all-core stall
 
-	lastUpdate sim.Time
-	completion *sim.Event
-	nextTID    int
+	lastUpdate   sim.Time
+	completion   *sim.Event
+	completionFn func() // the completion timer's callback, built once
+	nextTID      int
 
-	tr           obs.Tracer // nil unless the run is traced
-	node         int32
-	schedScratch []*Thread // reused by emitSched to avoid per-reschedule allocs
+	tr   obs.Tracer // nil unless the run is traced
+	node int32
 }
 
 // SetTracer attaches an observability tracer; scheduling events carry
@@ -196,10 +214,10 @@ func New(e *sim.Engine, par Params) (*Model, error) {
 	if err := par.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Model{
-		eng:     e,
-		par:     par,
-		threads: make(map[*Thread]struct{}),
+	m := &Model{eng: e, par: par}
+	m.completionFn = func() {
+		m.completion = nil
+		m.Sync()
 	}
 	n := par.PhysCores
 	if par.HTT {
@@ -256,7 +274,10 @@ func (m *Model) SetOnline(id int, online bool) error {
 	if m.logical[id].online == online {
 		return nil
 	}
-	m.reconfigure(func() { m.logical[id].online = online })
+	m.advance()
+	m.logical[id].online = online
+	m.placed = false
+	m.reschedule()
 	return nil
 }
 
@@ -267,34 +288,20 @@ func (m *Model) OnlineFirst(n int) error {
 	if n < 1 || n > len(m.logical) {
 		return fmt.Errorf("cpu: cannot online %d of %d CPUs", n, len(m.logical))
 	}
-	order := m.schedOrder()
-	m.reconfigure(func() {
-		for i, l := range order {
-			l.online = i < n
-		}
-	})
+	m.advance()
+	for i, l := range m.logical {
+		l.online = i < n
+	}
+	m.placed = false
+	m.reschedule()
 	return nil
-}
-
-// schedOrder returns all logical CPUs sorted sibling-0 cores first, so
-// assignment spreads across physical cores before doubling up.
-func (m *Model) schedOrder() []*Logical {
-	order := make([]*Logical, len(m.logical))
-	copy(order, m.logical)
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Sib != order[j].Sib {
-			return order[i].Sib < order[j].Sib
-		}
-		return order[i].Phys < order[j].Phys
-	})
-	return order
 }
 
 // NewThread registers a thread with the given workload profile.
 func (m *Model) NewThread(name string, prof Profile) *Thread {
 	m.nextTID++
 	t := &Thread{id: m.nextTID, name: name, prof: prof, model: m, pin: -1, lastCPU: -1}
-	m.threads[t] = struct{}{}
+	m.threads = append(m.threads, t)
 	return t
 }
 
@@ -306,32 +313,43 @@ func (m *Model) Pin(t *Thread, logicalID int) error {
 	if logicalID < 0 || logicalID >= len(m.logical) {
 		return fmt.Errorf("cpu: no logical cpu %d", logicalID)
 	}
-	m.reconfigure(func() { t.pin = logicalID })
+	m.advance()
+	t.pin = logicalID
+	m.placed = false
+	m.reschedule()
 	return nil
 }
 
 // Unpin removes a thread's affinity restriction.
 func (m *Model) Unpin(t *Thread) {
-	m.reconfigure(func() { t.pin = -1 })
+	m.advance()
+	t.pin = -1
+	m.placed = false
+	m.reschedule()
 }
 
 // Remove unregisters a thread. Any outstanding job is abandoned.
 func (m *Model) Remove(t *Thread) {
-	m.reconfigure(func() {
-		t.job = nil
-		delete(m.threads, t)
-	})
+	m.advance()
+	t.job = job{}
+	if i := slices.Index(m.threads, t); i >= 0 {
+		m.threads = slices.Delete(m.threads, i, i+1)
+	}
+	m.placed = false
+	m.reschedule()
 }
 
 // SetProfile changes a thread's workload profile (takes effect at once).
 func (m *Model) SetProfile(t *Thread, prof Profile) {
-	m.reconfigure(func() { t.prof = prof })
+	m.advance()
+	t.prof = prof
+	m.reschedule()
 }
 
 // StartCompute enqueues ops operations for thread t; onDone fires (as an
 // engine event) when they complete. A thread can have one job at a time.
 func (m *Model) StartCompute(t *Thread, ops float64, onDone func()) {
-	if t.job != nil {
+	if t.job.active {
 		panic(fmt.Sprintf("cpu: thread %q already computing", t.name))
 	}
 	if ops <= 0 {
@@ -340,37 +358,37 @@ func (m *Model) StartCompute(t *Thread, ops float64, onDone func()) {
 		m.eng.At(m.eng.Now(), onDone)
 		return
 	}
-	m.reconfigure(func() {
-		t.job = &job{remaining: ops, total: ops, onDone: onDone}
-	})
+	m.advance()
+	t.job = job{active: true, remaining: ops, total: ops, onDone: onDone}
+	m.placed = false
+	m.reschedule()
 }
 
 // Compute runs ops operations on t, blocking the calling process until
 // the work completes.
 func (t *Thread) Compute(p *sim.Proc, ops float64) {
-	wake, wait := p.Wait()
-	t.model.StartCompute(t, ops, func() { wake(nil) })
-	wait()
+	t.model.StartCompute(t, ops, p.Resumer())
+	p.Park()
 }
 
 // Stall freezes every logical CPU (System Management Mode entry). Nested
 // stalls are reference-counted; the processor resumes when every Stall has
 // been matched by an Unstall.
 func (m *Model) Stall() {
-	m.reconfigure(func() {
-		m.stallDepth++
-		m.stalled = true
-	})
+	m.advance()
+	m.stallDepth++
+	m.stalled = true
+	m.reschedule()
 }
 
 // Unstall releases one Stall.
 func (m *Model) Unstall() {
-	m.reconfigure(func() {
-		if m.stallDepth > 0 {
-			m.stallDepth--
-		}
-		m.stalled = m.stallDepth > 0
-	})
+	m.advance()
+	if m.stallDepth > 0 {
+		m.stallDepth--
+	}
+	m.stalled = m.stallDepth > 0
+	m.reschedule()
 }
 
 // Stalled reports whether the processor is currently in SMM.
@@ -382,16 +400,18 @@ func (m *Model) Stalled() bool { return m.stalled }
 // preemption — the frozen thread is neither progressing nor charged.
 // Per-CPU stalls nest and compose with the global stall.
 func (m *Model) StallCPU(id int) {
-	m.reconfigure(func() { m.logical[id].stallDepth++ })
+	m.advance()
+	m.logical[id].stallDepth++
+	m.reschedule()
 }
 
 // UnstallCPU releases one StallCPU on logical CPU id.
 func (m *Model) UnstallCPU(id int) {
-	m.reconfigure(func() {
-		if m.logical[id].stallDepth > 0 {
-			m.logical[id].stallDepth--
-		}
-	})
+	m.advance()
+	if l := m.logical[id]; l.stallDepth > 0 {
+		l.stallDepth--
+	}
+	m.reschedule()
 }
 
 // CPUStalled reports whether logical CPU id is per-CPU stalled.
@@ -430,16 +450,17 @@ func (l *Logical) Threads() []*Thread {
 	return out
 }
 
-// reconfigure integrates progress up to now, applies mutate, recomputes
-// assignments and rates, completes finished jobs, and schedules the next
-// completion event.
-func (m *Model) reconfigure(mutate func()) {
-	m.advance()
-	if mutate != nil {
-		mutate()
-	}
+// reschedule follows every change to the model: callers advance to now,
+// apply their change, clear placed if it was a placement input, and call
+// it. It completes finished jobs, reruns assign when the placement is
+// stale, recomputes rates and re-arms the completion timer. The timer is
+// canceled and re-armed on every call, so the engine sees the same
+// At/Cancel sequence whether or not assign ran.
+func (m *Model) reschedule() {
 	m.finishJobs()
-	m.assign()
+	if !m.placed {
+		m.assign()
+	}
 	if m.tr != nil {
 		m.emitSched()
 	}
@@ -448,17 +469,12 @@ func (m *Model) reconfigure(mutate func()) {
 }
 
 // emitSched diffs every thread's placement against what the tracer last
-// saw and emits run/preempt/migrate events. Threads are visited in id
-// order (via a reused scratch slice) so traced runs stay deterministic
-// despite map iteration.
+// saw and emits run/preempt/migrate events, visiting threads in id order
+// so traced runs stay deterministic. It runs on every traced reschedule,
+// so the first one after SetTracer snapshots the current placement.
 func (m *Model) emitSched() {
 	now := m.eng.Now()
-	m.schedScratch = m.schedScratch[:0]
-	for t := range m.threads {
-		m.schedScratch = append(m.schedScratch, t)
-	}
-	sort.Slice(m.schedScratch, func(i, j int) bool { return m.schedScratch[i].id < m.schedScratch[j].id })
-	for _, t := range m.schedScratch {
+	for _, t := range m.threads {
 		cur := -1
 		if t.cpu != nil {
 			cur = t.cpu.ID
@@ -495,7 +511,7 @@ func (m *Model) advance() {
 		m.stallTime += dt
 	}
 	for _, t := range m.runnable {
-		if t.job == nil || t.cpu == nil {
+		if !t.job.active || t.cpu == nil {
 			continue
 		}
 		t.job.remaining -= t.rate * fdt
@@ -525,16 +541,13 @@ func (m *Model) advance() {
 // finishJobs completes jobs whose remaining work reached zero. Threads
 // are visited in id order so completion callbacks fire deterministically.
 func (m *Model) finishJobs() {
-	var finished []*Thread
-	for t := range m.threads {
-		if t.job != nil && t.job.remaining <= completionSlack(t.job.total) {
-			finished = append(finished, t)
+	for _, t := range m.threads {
+		if !t.job.active || t.job.remaining > completionSlack(t.job.total) {
+			continue
 		}
-	}
-	sort.Slice(finished, func(i, j int) bool { return finished[i].id < finished[j].id })
-	for _, t := range finished {
 		done := t.job.onDone
-		t.job = nil
+		t.job = job{}
+		m.placed = false
 		if done != nil {
 			m.eng.At(m.eng.Now(), done)
 		}
@@ -554,29 +567,29 @@ func completionSlack(total float64) float64 {
 // assign distributes runnable threads over online logical CPUs,
 // physical-cores-first, round-robin.
 func (m *Model) assign() {
-	var online []*Logical
-	for _, l := range m.schedOrder() {
+	m.placed = true
+	m.online = m.online[:0]
+	for _, l := range m.logical {
 		l.threads = l.threads[:0]
 		if l.online {
-			online = append(online, l)
+			m.online = append(m.online, l)
 		}
 	}
 	m.runnable = m.runnable[:0]
-	for t := range m.threads {
+	for _, t := range m.threads {
 		t.cpu = nil
 		t.rate = 0
 		t.osShare = 0
-		if t.job != nil {
+		if t.job.active {
 			m.runnable = append(m.runnable, t)
 		}
 	}
-	sort.Slice(m.runnable, func(i, j int) bool { return m.runnable[i].id < m.runnable[j].id })
-	if len(online) == 0 {
+	if len(m.online) == 0 {
 		return
 	}
 	// Pinned threads first: they go exactly where their mask says (if
 	// that CPU is online).
-	var unpinned []*Thread
+	m.unpinned = m.unpinned[:0]
 	for _, t := range m.runnable {
 		if t.pin >= 0 && m.logical[t.pin].online {
 			l := m.logical[t.pin]
@@ -584,14 +597,14 @@ func (m *Model) assign() {
 			t.cpu = l
 			continue
 		}
-		unpinned = append(unpinned, t)
+		m.unpinned = append(m.unpinned, t)
 	}
 	// Everyone else to the least-loaded online CPU, physical cores
 	// first (ties resolve in sched order, keeping placement stable and
 	// deterministic).
-	for _, t := range unpinned {
-		best := online[0]
-		for _, l := range online[1:] {
+	for _, t := range m.unpinned {
+		best := m.online[0]
+		for _, l := range m.online[1:] {
 			if len(l.threads) < len(best.threads) {
 				best = l
 			}
@@ -601,20 +614,22 @@ func (m *Model) assign() {
 	}
 }
 
-// rates computes each runnable thread's ops/sec under the current
-// assignment, sibling contention, bandwidth ceiling, and stall state.
+// rates computes each runnable thread's ops/sec and OS share under the
+// current assignment, sibling contention, bandwidth ceiling, and stall
+// state. It sets both from scratch, so it may run again on an unchanged
+// placement.
 func (m *Model) rates() {
+	for _, t := range m.runnable {
+		t.rate = 0
+		t.osShare = 0
+	}
 	if m.stalled {
+		// No thread progresses, but the kernel still charges each its
+		// share of the wall time — except where a daemon holds the CPU
+		// under the SMM stall: the kernel charges the daemon instead.
 		for _, t := range m.runnable {
-			t.rate = 0
-			if t.cpu != nil {
-				if t.cpu.stallDepth > 0 {
-					// A daemon holds the CPU under the SMM stall: the
-					// kernel charges the daemon, not this thread.
-					t.osShare = 0
-				} else {
-					t.osShare = 1 / float64(len(t.cpu.threads))
-				}
+			if t.cpu != nil && t.cpu.stallDepth == 0 {
+				t.osShare = 1 / float64(len(t.cpu.threads))
 			}
 		}
 		return
@@ -629,8 +644,6 @@ func (m *Model) rates() {
 			// Core-scoped steal: the thread neither progresses nor is
 			// charged — the preemption is visible, the kernel accounts
 			// the stealing daemon instead.
-			t.rate = 0
-			t.osShare = 0
 			continue
 		}
 		sib := m.sibling(l)
@@ -737,7 +750,7 @@ func (m *Model) scheduleCompletion() {
 	}
 	best := sim.Forever
 	for _, t := range m.runnable {
-		if t.job == nil || t.rate <= 0 {
+		if !t.job.active || t.rate <= 0 {
 			continue
 		}
 		sec := t.job.remaining / t.rate
@@ -750,17 +763,17 @@ func (m *Model) scheduleCompletion() {
 		}
 	}
 	if best != sim.Forever {
-		m.completion = m.eng.At(best, func() {
-			m.completion = nil
-			m.reconfigure(nil)
-		})
+		m.completion = m.eng.At(best, m.completionFn)
 	}
 }
 
 // Sync integrates progress and accounting up to the current instant so
 // counters (Busy, TotalStallTime, per-thread times) are exact when read
 // between events.
-func (m *Model) Sync() { m.reconfigure(nil) }
+func (m *Model) Sync() {
+	m.advance()
+	m.reschedule()
+}
 
 // Utilization reports the mean busy fraction of online logical CPUs over
 // the elapsed simulation time (0 if no time has passed).

@@ -199,6 +199,21 @@ func TestRunSpecColdMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestTracedRunSpecCountsEngineEvents: the durable path scopes its
+// tracer per cell, and the engine probe must still reach the bus under
+// that scope, counting every event the cell's engines fired.
+func TestTracedRunSpecCountsEngineEvents(t *testing.T) {
+	bus := obs.NewBus()
+	var stats runner.ExecStats
+	if _, _, err := RunSpec(context.Background(), nasSpec(2), Options{Workers: 1, Tracer: bus, Stats: &stats}); err != nil {
+		t.Fatal(err)
+	}
+	fired := bus.Registry().Counter("engine_events_fired", -1).Value()
+	if fired == 0 || fired != stats.EventsValue() {
+		t.Fatalf("engine_events_fired = %d, want the cells' %d engine events", fired, stats.EventsValue())
+	}
+}
+
 func TestRunSpecWarmReplaysWithoutExecuting(t *testing.T) {
 	sp := nasSpec(3)
 	dir := t.TempDir()

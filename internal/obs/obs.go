@@ -273,3 +273,18 @@ func WithRun(tr Tracer, run int32) Tracer {
 	}
 	return runScope{tr: tr, run: run}
 }
+
+// BusOf returns the bus tr feeds, looking through run scopes, or nil
+// when tr does not end in a bus.
+func BusOf(tr Tracer) *Bus {
+	for {
+		switch t := tr.(type) {
+		case *Bus:
+			return t
+		case runScope:
+			tr = t.tr
+		default:
+			return nil
+		}
+	}
+}

@@ -147,6 +147,16 @@ func TestWithRun(t *testing.T) {
 	}
 }
 
+func TestBusOf(t *testing.T) {
+	bus := NewBus()
+	if BusOf(bus) != bus || BusOf(WithRun(WithRun(bus, 1), 2)) != bus {
+		t.Fatal("BusOf did not find the bus under its run scopes")
+	}
+	if BusOf(WithRun(NewRingSink(4), 1)) != nil || BusOf(nil) != nil {
+		t.Fatal("BusOf found a bus where there is none")
+	}
+}
+
 // chromeDoc parses a sink's output for structural assertions.
 type chromeDoc struct {
 	TraceEvents []struct {

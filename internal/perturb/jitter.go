@@ -64,8 +64,12 @@ type Jitter struct {
 
 	running bool
 	streams []*jitterStream
-	eps     []Episode
-	stolen  sim.Time
+	// eps is the completed-steal log in chunks of episodeChunk. A run
+	// logs tens of thousands of steals; one growing slice would hold
+	// most of the log twice while append copies it, and the log is by
+	// far the largest thing a jittered cell keeps live.
+	eps    [][]Episode
+	stolen sim.Time
 
 	tr   obs.Tracer // nil unless the run is traced
 	node int32
@@ -152,8 +156,18 @@ func (j *Jitter) Stop() {
 // Running reports whether the source is armed.
 func (j *Jitter) Running() bool { return j.running }
 
-// Episodes returns the completed-steal ground-truth log.
-func (j *Jitter) Episodes() []Episode { return j.eps }
+// episodeChunk is the number of episodes in one chunk of the log.
+const episodeChunk = 1024
+
+// Episodes returns the completed-steal ground-truth log, as a fresh
+// slice on every call.
+func (j *Jitter) Episodes() []Episode {
+	var eps []Episode
+	for _, c := range j.eps {
+		eps = append(eps, c...)
+	}
+	return eps
+}
 
 // Stolen is the total residency stolen across all target CPUs.
 func (j *Jitter) Stolen() sim.Time { return j.stolen }
@@ -174,7 +188,11 @@ func (j *Jitter) tick(s *jitterStream) {
 	}
 	j.eng.After(d, func() {
 		j.cpu.UnstallCPU(s.cpu)
-		j.eps = append(j.eps, Episode{CPU: s.cpu, Start: start, Duration: d})
+		if n := len(j.eps); n == 0 || len(j.eps[n-1]) == episodeChunk {
+			j.eps = append(j.eps, make([]Episode, 0, episodeChunk))
+		}
+		last := &j.eps[len(j.eps)-1]
+		*last = append(*last, Episode{CPU: s.cpu, Start: start, Duration: d})
 		j.stolen += d
 		if j.tr != nil {
 			j.tr.Emit(obs.Event{Time: j.eng.Now(), Dur: d, Type: obs.EvStealExit, Node: j.node, Track: int32(s.cpu), Name: JitterFamily})

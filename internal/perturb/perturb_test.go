@@ -119,6 +119,26 @@ func TestJitterReplayDeterminism(t *testing.T) {
 	}
 }
 
+// TestJitterLogSpansChunks: a run long enough to fill several chunks of
+// the episode log still returns every steal once, in completion order.
+func TestJitterLogSpansChunks(t *testing.T) {
+	j := runJitter(t, 5, 8*sim.Second, nil)
+	eps := j.Episodes()
+	if len(eps) <= 2*episodeChunk {
+		t.Fatalf("%d episodes, want more than two chunks of %d", len(eps), episodeChunk)
+	}
+	var stolen sim.Time
+	for i, ep := range eps {
+		if i > 0 && ep.Start+ep.Duration < eps[i-1].Start+eps[i-1].Duration {
+			t.Fatalf("episode %d ends before episode %d", i, i-1)
+		}
+		stolen += ep.Duration
+	}
+	if stolen != j.Stolen() {
+		t.Fatalf("Stolen() = %v, episode sum = %v", j.Stolen(), stolen)
+	}
+}
+
 func TestJitterEpisodeBounds(t *testing.T) {
 	j := runJitter(t, 1, sim.Second, []int{0, 2})
 	period, dur, frac := 10*sim.Millisecond, 200*sim.Microsecond, 0.25

@@ -8,14 +8,15 @@ import (
 
 // wireRun scopes tr to one sweep cell and threads it through a freshly
 // built engine and cluster: all SMM, scheduler, network and fault events
-// flow to it stamped with the run index, and — when tr is a bus — the
-// engine's event counters feed its registry. Returns the scoped tracer
-// for the caller's own emissions (nil stays nil).
+// flow to it stamped with the run index, and — when tr is a bus, or a run
+// scope over one as on the durable path — the engine's event counters
+// feed its registry. Returns the scoped tracer for the caller's own
+// emissions (nil stays nil).
 func wireRun(tr obs.Tracer, run int, e *sim.Engine, cl *cluster.Cluster) obs.Tracer {
 	if tr == nil {
 		return nil
 	}
-	if b, ok := tr.(*obs.Bus); ok {
+	if b := obs.BusOf(tr); b != nil {
 		e.SetProbe(b)
 	}
 	rt := obs.WithRun(tr, int32(run))

@@ -82,3 +82,30 @@ func TestProbeCounts(t *testing.T) {
 		t.Errorf("cancelled = %d, want 1", got)
 	}
 }
+
+// TestSignalWaitAllocFree: a Broadcast keeps its waiter slice, so a
+// process that waits on the same signal over and over allocates nothing
+// once the slice has grown.
+func TestSignalWaitAllocFree(t *testing.T) {
+	e := New(1)
+	var sig Signal
+	e.Go("waiter", func(p *Proc) {
+		for {
+			sig.Wait(p)
+			e.Stop()
+		}
+	})
+	e.Run()
+	round := func() {
+		sig.Broadcast(e)
+		e.Run()
+	}
+	round()
+	if got := testing.AllocsPerRun(200, round); got != 0 {
+		t.Fatalf("wait/broadcast round allocates %.1f allocs/op, want 0", got)
+	}
+	if sig.Len() != 1 {
+		t.Fatalf("%d waiters parked, want 1", sig.Len())
+	}
+	e.Shutdown()
+}

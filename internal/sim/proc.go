@@ -29,6 +29,9 @@ type Proc struct {
 	// wakeFn resumes the process with no value. Built once so the
 	// Sleep hot path does not allocate a closure per call.
 	wakeFn func()
+	// resumeFn schedules wakeFn as an immediate event, the wake-up a
+	// Wait pair's wake(nil) schedules. Built once, like wakeFn.
+	resumeFn func()
 }
 
 // Go spawns a new process executing fn. The process starts at the current
@@ -43,6 +46,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		resume: make(chan any),
 	}
 	p.wakeFn = func() { e.transfer(p, nil) }
+	p.resumeFn = func() { e.At(e.now, p.wakeFn) }
 	e.procs[p] = struct{}{}
 
 	go func() {
@@ -155,6 +159,17 @@ func (p *Proc) Wait() (wake func(v any), wait func() any) {
 	return wake, wait
 }
 
+// Resumer returns a callback that wakes p through an immediate event,
+// exactly as calling the wake function of a Wait pair with nil does. It
+// is built once per process, so a hot path can hand it out as a
+// completion callback and then Park without allocating. Unlike Wait's
+// wake it has no once-only guard: call it once per Park.
+func (p *Proc) Resumer() func() { return p.resumeFn }
+
+// Park suspends p until something resumes it, such as a Resumer
+// callback.
+func (p *Proc) Park() { p.park() }
+
 // Signal is a broadcast wake-up point for processes, similar to a
 // condition variable. The zero value is ready to use.
 type Signal struct {
@@ -168,13 +183,16 @@ func (s *Signal) Wait(p *Proc) {
 }
 
 // Broadcast wakes all waiting processes (as immediate events, in wait
-// order). Safe to call from engine or process context.
+// order). Safe to call from engine or process context. The waiter slice
+// is kept for the next round of waits: At only queues, so no Wait can
+// append to it while the loop runs.
 func (s *Signal) Broadcast(e *Engine) {
 	ws := s.waiters
-	s.waiters = nil
-	for _, p := range ws {
+	for i, p := range ws {
+		ws[i] = nil
 		e.At(e.now, p.wakeFn)
 	}
+	s.waiters = ws[:0]
 }
 
 // Len reports the number of parked waiters.
