@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
+	"unicode/utf8"
 
 	"smistudy/internal/sim"
 )
@@ -30,19 +32,27 @@ import (
 // "cluster" process (pid = run·1024). Metadata records naming processes
 // and threads are emitted lazily on first appearance. Events are
 // written in Emit order; a single engine emits in time order, so ts is
-// monotone per track. Writes are unbuffered — hand the sink a
-// bufio.Writer and flush after Close.
+// monotone per track.
+//
+// Records are appended to one reused buffer, which goes to the writer
+// in chunks of at least chunkSize bytes and at Close, so the sink
+// allocates nothing per record and needs no bufio.Writer in front of
+// it. Until Close, up to one chunk of records is held in memory only.
 type ChromeSink struct {
 	w       io.Writer
 	err     error
 	started bool
-	first   bool
-	events  int64
+	events  int64 // records in chunks w accepted in full
+	pending int64 // records in buf
+	buf     []byte
 
 	procNamed   map[int64]bool
 	threadNamed map[trackKey]bool
 	procNames   map[int64]string // pre-registered display names
 }
+
+// chunkSize is the buffered byte count that triggers a write.
+const chunkSize = 64 << 10
 
 // trackKey identifies one (process, thread) timeline.
 type trackKey struct {
@@ -54,6 +64,7 @@ type trackKey struct {
 func NewChromeSink(w io.Writer) *ChromeSink {
 	return &ChromeSink{
 		w:           w,
+		buf:         make([]byte, 0, chunkSize+1024),
 		procNamed:   map[int64]bool{},
 		threadNamed: map[trackKey]bool{},
 		procNames:   map[int64]string{},
@@ -72,20 +83,39 @@ func (c *ChromeSink) NameProcess(run, node int32, name string) {
 func (c *ChromeSink) Err() error { return c.err }
 
 // Events reports how many trace records (spans, instants, metadata)
-// were written. Manifests record it so a reader can detect truncation.
+// reached the writer: only records in chunks it accepted in full count.
+// Manifests record it so a reader can detect truncation.
 func (c *ChromeSink) Events() int64 { return c.events }
 
-// Close terminates the JSON document. The sink must not be used after.
+// Close terminates the JSON document and writes out the buffer. It
+// then lets go of the writer and the buffer, so a closed sink still
+// reachable from a run's results does not pin them; later calls do
+// nothing.
 func (c *ChromeSink) Close() error {
-	if c.err != nil {
+	if c.w == nil {
 		return c.err
 	}
-	if !c.started {
-		_, c.err = io.WriteString(c.w, `{"traceEvents":[]}`+"\n")
-		return c.err
+	if c.err == nil {
+		if !c.started {
+			c.buf = append(c.buf, `{"traceEvents":[]}`+"\n"...)
+		} else {
+			c.buf = append(c.buf, "\n]}\n"...)
+		}
+		c.flush()
 	}
-	_, c.err = io.WriteString(c.w, "\n]}\n")
+	c.w, c.buf = nil, nil
 	return c.err
+}
+
+// flush hands the buffer to the writer in one call.
+func (c *ChromeSink) flush() {
+	if _, err := c.w.Write(c.buf); err != nil {
+		c.err = err
+	} else {
+		c.events += c.pending
+	}
+	c.pending = 0
+	c.buf = c.buf[:0]
 }
 
 // PidFor maps a (run, node) pair onto its trace-process id: runs own
@@ -101,49 +131,122 @@ func SplitPid(pid int64) (run, node int32) {
 	return int32(pid / 1024), int32(pid%1024) - 1
 }
 
-// us renders a sim.Time as Chrome's microsecond timestamps.
-func us(t sim.Time) string {
-	return strconv.FormatFloat(float64(t)/float64(sim.Microsecond), 'f', 3, 64)
+// appendUS appends a sim.Time as Chrome's microsecond timestamp with
+// three decimals, the text strconv.FormatFloat(t/1µs, 'f', 3, 64)
+// gives. Below 2^52 ns the float64 quotient lies within half an ulp
+// (< 0.0005 µs) of the exact decimal, so integer microseconds plus the
+// nanosecond remainder are that text; larger times take FormatFloat's
+// own path.
+func appendUS(b []byte, t sim.Time) []byte {
+	if t <= -1<<52 || t >= 1<<52 {
+		return strconv.AppendFloat(b, float64(t)/float64(sim.Microsecond), 'f', 3, 64)
+	}
+	if t < 0 {
+		b = append(b, '-')
+		t = -t
+	}
+	b = strconv.AppendInt(b, int64(t/sim.Microsecond), 10)
+	ns := int(t % sim.Microsecond)
+	return append(b, '.', byte('0'+ns/100), byte('0'+ns/10%10), byte('0'+ns%10))
 }
 
-// jstr JSON-encodes a label (labels are caller-supplied for UserSpan).
-func jstr(s string) string {
-	b, err := json.Marshal(s)
+// appendLabel appends a label as a JSON string, byte-identical to
+// json.Marshal: printable ASCII other than the characters Marshal
+// escapes is quoted as is, anything else goes through Marshal.
+func appendLabel(b []byte, label string) []byte {
+	if plainLabel(label) {
+		b = append(b, '"')
+		b = append(b, label...)
+		return append(b, '"')
+	}
+	q, err := json.Marshal(label)
 	if err != nil {
-		return `"?"`
+		return append(b, `"?"`...)
 	}
-	return string(b)
+	return append(b, q...)
 }
 
-func (c *ChromeSink) raw(s string) {
-	if c.err != nil {
-		return
+// plainLabel reports whether s needs no JSON escaping.
+func plainLabel(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= utf8.RuneSelf, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
 	}
+	return true
+}
+
+// begin opens a record: the document header before the first one, the
+// separator before the rest.
+func (c *ChromeSink) begin() {
 	if !c.started {
 		c.started = true
-		c.first = true
-		if _, c.err = io.WriteString(c.w, `{"traceEvents":[`+"\n"); c.err != nil {
-			return
-		}
+		c.buf = append(c.buf, `{"traceEvents":[`+"\n"...)
+		return
 	}
-	if !c.first {
-		if _, c.err = io.WriteString(c.w, ",\n"); c.err != nil {
-			return
-		}
+	c.buf = append(c.buf, ",\n"...)
+}
+
+// end closes a record and writes out a full chunk.
+func (c *ChromeSink) end() {
+	c.pending++
+	if len(c.buf) >= chunkSize {
+		c.flush()
 	}
-	c.first = false
-	if _, c.err = io.WriteString(c.w, s); c.err == nil {
-		c.events++
+}
+
+// head appends the fields every record starts with:
+// {"name":…,"cat":"…","ph":"…".
+func (c *ChromeSink) head(name, cat, ph string) {
+	c.begin()
+	c.buf = append(c.buf, `{"name":`...)
+	c.buf = appendLabel(c.buf, name)
+	c.buf = append(c.buf, `,"cat":"`...)
+	c.buf = append(c.buf, cat...)
+	c.buf = append(c.buf, `","ph":"`...)
+	c.buf = append(c.buf, ph...)
+	c.buf = append(c.buf, '"')
+}
+
+// tail appends ,"pid":…,"tid":… and, for spans and instants, the args.
+func (c *ChromeSink) tail(pid int64, tid int32, args bool, a, b int64) {
+	c.buf = append(c.buf, `,"pid":`...)
+	c.buf = strconv.AppendInt(c.buf, pid, 10)
+	c.buf = append(c.buf, `,"tid":`...)
+	c.buf = strconv.AppendInt(c.buf, int64(tid), 10)
+	if args {
+		c.buf = append(c.buf, `,"args":{"a":`...)
+		c.buf = strconv.AppendInt(c.buf, a, 10)
+		c.buf = append(c.buf, `,"b":`...)
+		c.buf = strconv.AppendInt(c.buf, b, 10)
+		c.buf = append(c.buf, '}')
 	}
+	c.buf = append(c.buf, '}')
+	c.end()
 }
 
 func (c *ChromeSink) meta(pid int64, tid int32, kind, name string) {
-	c.raw(fmt.Sprintf(`{"name":%q,"ph":"M","pid":%d,"tid":%d,"args":{"name":%s}}`,
-		kind, pid, tid, jstr(name)))
+	c.begin()
+	c.buf = append(c.buf, `{"name":"`...)
+	c.buf = append(c.buf, kind...)
+	c.buf = append(c.buf, `","ph":"M","pid":`...)
+	c.buf = strconv.AppendInt(c.buf, pid, 10)
+	c.buf = append(c.buf, `,"tid":`...)
+	c.buf = strconv.AppendInt(c.buf, int64(tid), 10)
+	c.buf = append(c.buf, `,"args":{"name":`...)
+	c.buf = appendLabel(c.buf, name)
+	c.buf = append(c.buf, "}}"...)
+	c.end()
 }
 
-// ensureTrack lazily emits process_name / thread_name metadata.
-func (c *ChromeSink) ensureTrack(run, node, tid int32, threadName string) int64 {
+// noIndex marks a thread name that carries no track number.
+const noIndex int64 = math.MinInt64
+
+// ensureTrack lazily emits process_name / thread_name metadata. The
+// thread is named threadName followed by idx, unless idx is noIndex;
+// the name is built only when the track first appears.
+func (c *ChromeSink) ensureTrack(run, node, tid int32, threadName string, idx int64) int64 {
 	pid := PidFor(run, node)
 	if !c.procNamed[pid] {
 		c.procNamed[pid] = true
@@ -165,6 +268,9 @@ func (c *ChromeSink) ensureTrack(run, node, tid int32, threadName string) int64 
 	key := trackKey{pid, tid}
 	if !c.threadNamed[key] {
 		c.threadNamed[key] = true
+		if idx != noIndex {
+			threadName += strconv.FormatInt(idx, 10)
+		}
 		c.meta(pid, tid, "thread_name", threadName)
 	}
 	return pid
@@ -172,20 +278,28 @@ func (c *ChromeSink) ensureTrack(run, node, tid int32, threadName string) int64 
 
 // complete writes an "X" span.
 func (c *ChromeSink) complete(pid int64, tid int32, name, cat string, start, dur sim.Time, a, b int64) {
-	c.raw(fmt.Sprintf(`{"name":%s,"cat":%q,"ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":{"a":%d,"b":%d}}`,
-		jstr(name), cat, us(start), us(dur), pid, tid, a, b))
+	c.head(name, cat, "X")
+	c.buf = append(c.buf, `,"ts":`...)
+	c.buf = appendUS(c.buf, start)
+	c.buf = append(c.buf, `,"dur":`...)
+	c.buf = appendUS(c.buf, dur)
+	c.tail(pid, tid, true, a, b)
 }
 
 // instant writes an "i" thread-scoped instant.
 func (c *ChromeSink) instant(pid int64, tid int32, name, cat string, t sim.Time, a, b int64) {
-	c.raw(fmt.Sprintf(`{"name":%s,"cat":%q,"ph":"i","s":"t","ts":%s,"pid":%d,"tid":%d,"args":{"a":%d,"b":%d}}`,
-		jstr(name), cat, us(t), pid, tid, a, b))
+	c.head(name, cat, "i")
+	c.buf = append(c.buf, `,"s":"t","ts":`...)
+	c.buf = appendUS(c.buf, t)
+	c.tail(pid, tid, true, a, b)
 }
 
 // beginEnd writes a "B" or "E" duration edge.
 func (c *ChromeSink) beginEnd(ph string, pid int64, tid int32, name, cat string, t sim.Time) {
-	c.raw(fmt.Sprintf(`{"name":%s,"cat":%q,"ph":%q,"ts":%s,"pid":%d,"tid":%d}`,
-		jstr(name), cat, ph, us(t), pid, tid))
+	c.head(name, cat, ph)
+	c.buf = append(c.buf, `,"ts":`...)
+	c.buf = appendUS(c.buf, t)
+	c.tail(pid, tid, false, 0, 0)
 }
 
 // Tid constants for fixed per-node tracks (see the type comment).
@@ -204,27 +318,30 @@ const (
 
 // Emit implements Tracer.
 func (c *ChromeSink) Emit(ev Event) {
+	if c.err != nil || c.w == nil {
+		return
+	}
 	cat := ev.Type.Category().String()
 	switch ev.Type {
 	case EvSMMEnter:
 		// The residency span written at exit covers the episode; the
 		// entry itself adds nothing to the timeline.
 	case EvSMMExit:
-		pid := c.ensureTrack(ev.Run, ev.Node, tidSMM, "smm")
+		pid := c.ensureTrack(ev.Run, ev.Node, tidSMM, "smm", noIndex)
 		c.complete(pid, tidSMM, "smm", cat, ev.Time-ev.Dur, ev.Dur, ev.A, ev.B)
 	case EvStealEnter:
 		// As with SMM, the residency span written at exit covers the
 		// whole episode.
 	case EvStealExit:
 		tid := tidSteal0 + ev.Track
-		pid := c.ensureTrack(ev.Run, ev.Node, tid, "steal"+strconv.Itoa(int(ev.Track)))
+		pid := c.ensureTrack(ev.Run, ev.Node, tid, "steal", int64(ev.Track))
 		c.complete(pid, tid, ev.Name, cat, ev.Time-ev.Dur, ev.Dur, ev.A, ev.B)
 	case EvSchedRun, EvSchedPreempt, EvSchedMigrate:
 		tid := 1 + ev.Track
-		pid := c.ensureTrack(ev.Run, ev.Node, tid, "cpu"+strconv.Itoa(int(ev.Track)))
+		pid := c.ensureTrack(ev.Run, ev.Node, tid, "cpu", int64(ev.Track))
 		c.instant(pid, tid, ev.Type.String(), cat, ev.Time, ev.A, ev.B)
 	case EvTaskSpawn, EvTaskExit:
-		pid := c.ensureTrack(ev.Run, ev.Node, tidTasks, "tasks")
+		pid := c.ensureTrack(ev.Run, ev.Node, tidTasks, "tasks", noIndex)
 		name := ev.Type.String()
 		if ev.Name != "" {
 			name = ev.Name
@@ -232,27 +349,27 @@ func (c *ChromeSink) Emit(ev Event) {
 		c.instant(pid, tidTasks, name, cat, ev.Time, ev.A, ev.B)
 	case EvMPISend, EvMPIRecv:
 		tid := 100 + ev.Track
-		pid := c.ensureTrack(ev.Run, ev.Node, tid, "rank"+strconv.Itoa(int(ev.Track)))
+		pid := c.ensureTrack(ev.Run, ev.Node, tid, "rank", int64(ev.Track))
 		c.instant(pid, tid, ev.Type.String(), cat, ev.Time, ev.A, ev.B)
 	case EvMPIRetransmit:
-		pid := c.ensureTrack(ev.Run, ev.Node, tidTransport, "transport")
+		pid := c.ensureTrack(ev.Run, ev.Node, tidTransport, "transport", noIndex)
 		c.instant(pid, tidTransport, "retransmit", cat, ev.Time, ev.A, ev.B)
 	case EvCollBegin, EvCollEnd:
 		tid := 100 + ev.Track
-		pid := c.ensureTrack(ev.Run, ev.Node, tid, "rank"+strconv.Itoa(int(ev.Track)))
+		pid := c.ensureTrack(ev.Run, ev.Node, tid, "rank", int64(ev.Track))
 		ph := "B"
 		if ev.Type == EvCollEnd {
 			ph = "E"
 		}
 		c.beginEnd(ph, pid, tid, ev.Name, cat, ev.Time)
 	case EvNetDeliver:
-		pid := c.ensureTrack(ev.Run, ev.Node, tidNet, "net")
+		pid := c.ensureTrack(ev.Run, ev.Node, tidNet, "net", noIndex)
 		c.complete(pid, tidNet, "deliver", cat, ev.Time, ev.Dur, ev.A, ev.B)
 	case EvNetDrop, EvNetDelay:
-		pid := c.ensureTrack(ev.Run, ev.Node, tidNet, "net")
+		pid := c.ensureTrack(ev.Run, ev.Node, tidNet, "net", noIndex)
 		c.instant(pid, tidNet, ev.Type.String(), cat, ev.Time, ev.A, ev.B)
 	case EvFaultStart, EvFaultEnd:
-		pid := c.ensureTrack(ev.Run, ev.Node, tidFault, "faults")
+		pid := c.ensureTrack(ev.Run, ev.Node, tidFault, "faults", noIndex)
 		name := ev.Name
 		if name == "" {
 			name = ev.Type.String()
@@ -261,23 +378,23 @@ func (c *ChromeSink) Emit(ev Event) {
 		}
 		c.instant(pid, tidFault, name, cat, ev.Time, ev.A, ev.B)
 	case EvProfSample, EvProfDrop, EvProfDefer:
-		pid := c.ensureTrack(ev.Run, ev.Node, tidProf, "profiler")
+		pid := c.ensureTrack(ev.Run, ev.Node, tidProf, "profiler", noIndex)
 		c.instant(pid, tidProf, ev.Type.String(), cat, ev.Time, ev.A, ev.B)
 	case EvSweepCellStart:
-		pid := c.ensureTrack(ev.Run, -1, tidCells, "cells")
+		pid := c.ensureTrack(ev.Run, -1, tidCells, "cells", noIndex)
 		c.instant(pid, tidCells, "cell start", cat, ev.Time, ev.A, ev.B)
 	case EvSweepCellFinish:
-		pid := c.ensureTrack(ev.Run, -1, tidCells, "cells")
+		pid := c.ensureTrack(ev.Run, -1, tidCells, "cells", noIndex)
 		c.complete(pid, tidCells, "cell", cat, ev.Time-ev.Dur, ev.Dur, ev.A, ev.B)
 	case EvSweepCellCached, EvSweepCellRetry, EvSweepCellTimeout, EvSweepCellFail:
-		pid := c.ensureTrack(ev.Run, -1, tidCells, "cells")
+		pid := c.ensureTrack(ev.Run, -1, tidCells, "cells", noIndex)
 		name := ev.Type.String()
 		if ev.Name != "" {
 			name += " " + ev.Name
 		}
 		c.instant(pid, tidCells, name, cat, ev.Time, ev.A, ev.B)
 	case EvUserSpan:
-		pid := c.ensureTrack(ev.Run, ev.Node, ev.Track, ev.Name)
+		pid := c.ensureTrack(ev.Run, ev.Node, ev.Track, ev.Name, noIndex)
 		c.complete(pid, ev.Track, ev.Name, cat, ev.Time-ev.Dur, ev.Dur, ev.A, ev.B)
 	}
 }

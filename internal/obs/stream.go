@@ -1,12 +1,14 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
+	"cmp"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"smistudy/internal/sim"
 )
@@ -137,7 +139,8 @@ func (s Span) End() sim.Time { return s.Start + s.Dur }
 // Trace is a fully parsed trace stream.
 type Trace struct {
 	// Spans holds every recovered record in a deterministic order:
-	// (Run, Node, Tid, Start, Name).
+	// (Run, Node, Tid, Start, Name), stable in record order. RunIDs,
+	// RunSpans and the report package rely on it.
 	Spans []Span
 	// ProcNames maps a (run, node) process to its display name.
 	ProcNames map[int64]string
@@ -157,31 +160,40 @@ type Trace struct {
 
 // RunIDs reports the distinct run indices in the trace, ascending.
 func (t *Trace) RunIDs() []int32 {
-	seen := map[int32]bool{}
 	var out []int32
-	for _, s := range t.Spans {
-		if !seen[s.Run] {
-			seen[s.Run] = true
+	for i, s := range t.Spans {
+		if i == 0 || s.Run != t.Spans[i-1].Run {
 			out = append(out, s.Run)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// Select returns the spans of one run matching the kind filter
-// (TrackUnknown selects every kind), preserving order.
+// RunSpans returns the spans of one run: the contiguous sub-slice of
+// Spans that the (Run, ...) order gives it, found by binary search.
+// The result aliases Spans.
+func (t *Trace) RunSpans(run int32) []Span {
+	lo := sort.Search(len(t.Spans), func(i int) bool { return t.Spans[i].Run >= run })
+	hi := lo + sort.Search(len(t.Spans)-lo, func(i int) bool { return t.Spans[lo+i].Run > run })
+	return t.Spans[lo:hi]
+}
+
+// Select returns a copy of the spans of one run matching the kind
+// filter (TrackUnknown selects every kind), preserving order.
 func (t *Trace) Select(run int32, kind TrackKind) []Span {
 	var out []Span
-	for _, s := range t.Spans {
-		if s.Run == run && (kind == TrackUnknown || s.Kind == kind) {
+	for _, s := range t.RunSpans(run) {
+		if kind == TrackUnknown || s.Kind == kind {
 			out = append(out, s)
 		}
 	}
 	return out
 }
 
-// rawEvent is one Chrome trace-event JSON object.
+// rawEvent is one Chrome trace-event JSON object. ReadTrace's scanner
+// fills it under encoding/json's rules; the tags are the keys it
+// matches (eventKeys and argKeys in scan.go), and the encoding/json
+// reference reader in the tests decodes through them.
 type rawEvent struct {
 	Name string  `json:"name"`
 	Cat  string  `json:"cat"`
@@ -203,132 +215,198 @@ func fromUS(us float64) sim.Time {
 	return sim.Time(math.Round(us * float64(sim.Microsecond)))
 }
 
-// ReadTrace parses a Chrome trace-event stream written by ChromeSink
-// (any {"traceEvents":[...]} document works). Parsing is lenient about
-// torn tails: a stream cut mid-record — the shape a killed producer
-// leaves — returns everything before the tear with Truncated set
-// instead of failing, because a partial timeline is exactly what a
-// post-mortem needs. Any other malformation is an error.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	tr := &Trace{
-		ProcNames:   map[int64]string{},
-		ThreadNames: map[int64]map[int32]string{},
-	}
-	// Expect `{ "traceEvents" : [`.
-	for _, want := range []json.Delim{'{'} {
-		tok, err := dec.Token()
-		if err != nil {
-			return nil, fmt.Errorf("obs: trace: %w", err)
-		}
-		if d, ok := tok.(json.Delim); !ok || d != want {
-			return nil, fmt.Errorf("obs: trace: unexpected token %v", tok)
-		}
-	}
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, fmt.Errorf("obs: trace: %w", err)
-	}
-	if key, ok := tok.(string); !ok || key != "traceEvents" {
-		return nil, fmt.Errorf("obs: trace: expected traceEvents, got %v", tok)
-	}
-	if tok, err = dec.Token(); err != nil {
-		return nil, fmt.Errorf("obs: trace: %w", err)
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '[' {
-		return nil, fmt.Errorf("obs: trace: expected event array, got %v", tok)
-	}
+// errTraceHeader reports a stream that does not open with
+// {"traceEvents":[.
+var errTraceHeader = errors.New(`obs: trace: expected {"traceEvents":[`)
 
-	// open tracks per-(pid,tid) unmatched "B" edges, a stack per track
-	// (collectives nest).
-	type trackID struct {
-		pid int64
-		tid int32
+// ReadTrace parses a Chrome trace-event stream written by ChromeSink
+// (any {"traceEvents":[...]} document works) in one streaming pass,
+// decoding each event as encoding/json would decode it into rawEvent.
+// Parsing is lenient about torn tails: a stream cut mid-record — the
+// shape a killed producer leaves — returns everything before the tear
+// with Truncated set instead of failing, because a partial timeline is
+// exactly what a post-mortem needs. So does an event that is not an
+// object of rawEvent's shape, and anything after the event array other
+// than '}' or ',' and a key. A malformed header is an error.
+func ReadTrace(r io.Reader) (*Trace, error) {
+	s := newScanner(r)
+	if !s.header() {
+		if s.err != nil {
+			return nil, fmt.Errorf("obs: trace: %w", s.err)
+		}
+		return nil, errTraceHeader
 	}
-	open := map[trackID][]rawEvent{}
-	for dec.More() {
+	b := traceBuilder{
+		tr: &Trace{
+			ProcNames:   map[int64]string{},
+			ThreadNames: map[int64]map[int32]string{},
+		},
+		open:  map[trackKey][]rawEvent{},
+		index: map[spanTrack]int32{},
+	}
+	tr := b.tr
+	for first := true; ; first = false {
+		if c, ok := s.peek(); ok && (c == ']' || c == '}') {
+			tr.Truncated = !s.trailer()
+			break
+		}
 		var ev rawEvent
-		if err := dec.Decode(&ev); err != nil {
-			// A tear inside the array: keep what we have.
+		if !first && !s.expect(',') || !s.element(&ev) {
 			tr.Truncated = true
 			break
 		}
 		tr.Records++
-		run, node := SplitPid(ev.Pid)
-		kind, idx := TrackOf(node, ev.Tid)
-		switch ev.Ph {
-		case "M":
-			switch ev.Name {
-			case "process_name":
-				tr.ProcNames[ev.Pid] = ev.Args.Name
-			case "thread_name":
-				m := tr.ThreadNames[ev.Pid]
-				if m == nil {
-					m = map[int32]string{}
-					tr.ThreadNames[ev.Pid] = m
-				}
-				m[ev.Tid] = ev.Args.Name
-			}
-		case "X":
-			tr.Spans = append(tr.Spans, Span{
-				Run: run, Node: node, Tid: ev.Tid, Kind: kind, Index: idx,
-				Name: ev.Name, Cat: ev.Cat,
-				Start: fromUS(ev.Ts), Dur: fromUS(ev.Dur),
-				A: ev.Args.A, B: ev.Args.B,
-			})
-		case "i", "I":
-			tr.Spans = append(tr.Spans, Span{
-				Run: run, Node: node, Tid: ev.Tid, Kind: kind, Index: idx,
-				Name: ev.Name, Cat: ev.Cat,
-				Start: fromUS(ev.Ts),
-				A:     ev.Args.A, B: ev.Args.B, Instant: true,
-			})
-		case "B":
-			id := trackID{ev.Pid, ev.Tid}
-			open[id] = append(open[id], ev)
-		case "E":
-			id := trackID{ev.Pid, ev.Tid}
-			stack := open[id]
-			if len(stack) == 0 {
-				tr.Unbalanced++
-				continue
-			}
-			b := stack[len(stack)-1]
-			open[id] = stack[:len(stack)-1]
-			tr.Spans = append(tr.Spans, Span{
-				Run: run, Node: node, Tid: ev.Tid, Kind: kind, Index: idx,
-				Name: b.Name, Cat: b.Cat,
-				Start: fromUS(b.Ts), Dur: fromUS(ev.Ts) - fromUS(b.Ts),
-				A: b.Args.A, B: b.Args.B,
-			})
-		}
+		b.add(&ev)
 	}
-	if !tr.Truncated {
-		// Consume `] }`; a tear here still means a complete event list.
-		if _, err := dec.Token(); err != nil {
-			tr.Truncated = true
-		} else if _, err := dec.Token(); err != nil {
-			tr.Truncated = true
-		}
-	}
-	for _, stack := range open {
+	for _, stack := range b.open {
 		tr.Unbalanced += len(stack)
 	}
-	sort.SliceStable(tr.Spans, func(i, j int) bool {
-		a, b := tr.Spans[i], tr.Spans[j]
-		if a.Run != b.Run {
-			return a.Run < b.Run
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Tid != b.Tid {
-			return a.Tid < b.Tid
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.Name < b.Name
-	})
+	tr.Spans = b.sorted()
 	return tr, nil
+}
+
+// spanTrack is the (Run, Node, Tid) coordinate spans sort by first.
+type spanTrack struct{ run, node, tid int32 }
+
+// traceBuilder turns decoded events into spans, in record order, and
+// remembers each span's track for the final sort. Spans are kept in
+// fixed-size blocks until then, so a growing slice never copies them.
+type traceBuilder struct {
+	tr *Trace
+	// open holds each track's unmatched "B" edges, a stack per track
+	// (collectives nest).
+	open   map[trackKey][]rawEvent
+	blocks [][]Span
+	n      int         // spans held
+	track  []int32     // track of each span, an index into tracks
+	tracks []spanTrack // distinct tracks in order of appearance
+	index  map[spanTrack]int32
+}
+
+const spanBlock = 1024 // spans per block
+
+// span returns the i-th span in record order.
+func (b *traceBuilder) span(i int32) *Span {
+	return &b.blocks[i/spanBlock][i%spanBlock]
+}
+
+func (b *traceBuilder) add(ev *rawEvent) {
+	tr := b.tr
+	run, node := SplitPid(ev.Pid)
+	kind, idx := TrackOf(node, ev.Tid)
+	span := Span{
+		Run: run, Node: node, Tid: ev.Tid, Kind: kind, Index: idx,
+		Name: ev.Name, Cat: ev.Cat, Start: fromUS(ev.Ts),
+		A: ev.Args.A, B: ev.Args.B,
+	}
+	switch ev.Ph {
+	case "M":
+		switch ev.Name {
+		case "process_name":
+			tr.ProcNames[ev.Pid] = ev.Args.Name
+		case "thread_name":
+			m := tr.ThreadNames[ev.Pid]
+			if m == nil {
+				m = map[int32]string{}
+				tr.ThreadNames[ev.Pid] = m
+			}
+			m[ev.Tid] = ev.Args.Name
+		}
+		return
+	case "X":
+		span.Dur = fromUS(ev.Dur)
+	case "i", "I":
+		span.Instant = true
+	case "B":
+		id := trackKey{ev.Pid, ev.Tid}
+		b.open[id] = append(b.open[id], *ev)
+		return
+	case "E":
+		id := trackKey{ev.Pid, ev.Tid}
+		stack := b.open[id]
+		if len(stack) == 0 {
+			tr.Unbalanced++
+			return
+		}
+		begin := stack[len(stack)-1]
+		b.open[id] = stack[:len(stack)-1]
+		span.Name, span.Cat = begin.Name, begin.Cat
+		span.Start = fromUS(begin.Ts)
+		span.Dur = fromUS(ev.Ts) - span.Start
+		span.A, span.B = begin.Args.A, begin.Args.B
+	default:
+		return
+	}
+	key := spanTrack{run, node, ev.Tid}
+	t, ok := b.index[key]
+	if !ok {
+		t = int32(len(b.tracks))
+		b.index[key] = t
+		b.tracks = append(b.tracks, key)
+	}
+	if b.n%spanBlock == 0 {
+		b.blocks = append(b.blocks, make([]Span, spanBlock))
+	}
+	b.blocks[b.n/spanBlock][b.n%spanBlock] = span
+	b.n++
+	b.track = append(b.track, t)
+}
+
+// sorted returns the spans in (Run, Node, Tid, Start, Name) order,
+// stable with respect to record order, without a merge sort's moves of
+// whole spans: a counting sort by track gives each span its slot, a
+// stable sort of record indices fixes each track not already in
+// (Start, Name) order — usually only rank tracks, whose collective
+// spans are recorded at their end — and every span then moves once.
+func (b *traceBuilder) sorted() []Span {
+	if b.n == 0 {
+		return nil
+	}
+	order := make([]int32, len(b.tracks))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(x, y int32) int {
+		p, q := b.tracks[x], b.tracks[y]
+		if c := cmp.Compare(p.run, q.run); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(p.node, q.node); c != 0 {
+			return c
+		}
+		return cmp.Compare(p.tid, q.tid)
+	})
+	end := make([]int, len(b.tracks)) // one past each track's last slot
+	for _, t := range b.track {
+		end[t]++
+	}
+	n := 0
+	for _, t := range order {
+		n += end[t]
+		end[t] = n - end[t]
+	}
+	perm := make([]int32, b.n) // perm[k] is the record index of slot k
+	for i, t := range b.track {
+		perm[end[t]] = int32(i)
+		end[t]++
+	}
+	byTime := func(x, y int32) int {
+		p, q := b.span(x), b.span(y)
+		if c := cmp.Compare(p.Start, q.Start); c != 0 {
+			return c
+		}
+		return strings.Compare(p.Name, q.Name)
+	}
+	lo := 0
+	for _, t := range order {
+		if r := perm[lo:end[t]]; !slices.IsSortedFunc(r, byTime) {
+			slices.SortStableFunc(r, byTime)
+		}
+		lo = end[t]
+	}
+	spans := make([]Span, b.n)
+	for k, i := range perm {
+		spans[k] = *b.span(i)
+	}
+	return spans
 }

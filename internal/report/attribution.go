@@ -280,17 +280,20 @@ func minT(a, b sim.Time) sim.Time {
 	return b
 }
 
-// Attribute builds one attribution tree per run in the trace.
+// Attribute builds one attribution tree per run in the trace. It
+// requires ReadTrace's span order, (Run, Node, Tid, Start, Name): each
+// run, node and track is read in place as one contiguous range of
+// tr.Spans.
 func Attribute(tr *obs.Trace) []RunAttribution {
 	var out []RunAttribution
 	for _, run := range tr.RunIDs() {
-		out = append(out, attributeRun(tr, run))
+		out = append(out, attributeRun(tr.RunSpans(run), run))
 	}
 	return out
 }
 
-func attributeRun(tr *obs.Trace, run int32) RunAttribution {
-	spans := tr.Select(run, obs.TrackUnknown)
+// attributeRun attributes one run's spans, ordered by (Node, Tid).
+func attributeRun(spans []obs.Span, run int32) RunAttribution {
 	ra := RunAttribution{Run: run}
 	root := &Node{Label: fmt.Sprintf("run%d", run), Kind: "run", Parallel: true}
 	ra.Tree = root
@@ -299,16 +302,16 @@ func attributeRun(tr *obs.Trace, run int32) RunAttribution {
 	// run traced outside the runner) fall back to the last event time.
 	var wall sim.Time
 	haveCell := false
-	for _, s := range spans {
-		if s.Kind == obs.TrackCells && !s.Instant && s.Name == "cell" {
+	for i := range spans {
+		if s := &spans[i]; s.Kind == obs.TrackCells && !s.Instant && s.Name == "cell" {
 			wall = s.Dur
 			haveCell = true
 		}
 	}
 	if !haveCell {
-		for _, s := range spans {
-			if s.End() > wall {
-				wall = s.End()
+		for i := range spans {
+			if end := spans[i].End(); end > wall {
+				wall = end
 			}
 		}
 		if wall > 0 {
@@ -319,67 +322,82 @@ func attributeRun(tr *obs.Trace, run int32) RunAttribution {
 	root.Seconds = wall.Seconds()
 	ra.WallSeconds = wall.Seconds()
 
-	// Group the run's node-scoped spans by node.
-	perNode := map[int32][]obs.Span{}
-	var nodes []int32
-	for _, s := range spans {
-		if s.Node < 0 {
-			continue
+	// Each node's spans are one range; cluster-scoped ones (node < 0)
+	// come first and carry no CPU timeline.
+	for lo := 0; lo < len(spans); {
+		node := spans[lo].Node
+		hi := lo + 1
+		for hi < len(spans) && spans[hi].Node == node {
+			hi++
 		}
-		if _, ok := perNode[s.Node]; !ok {
-			nodes = append(nodes, s.Node)
+		if node >= 0 {
+			nn, ranks := attributeNode(node, spans[lo:hi], wall)
+			root.Children = append(root.Children, nn)
+			ra.Ranks = append(ra.Ranks, ranks...)
 		}
-		perNode[s.Node] = append(perNode[s.Node], s)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-
-	for _, node := range nodes {
-		nn, ranks := attributeNode(node, perNode[node], wall)
-		root.Children = append(root.Children, nn)
-		ra.Ranks = append(ra.Ranks, ranks...)
+		lo = hi
 	}
 	return ra
 }
 
-// attributeNode partitions each of a node's CPU timelines.
+// attributeNode partitions each of a node's CPU timelines from the
+// node's spans, ordered by Tid so each track is one range.
 func attributeNode(node int32, spans []obs.Span, wall sim.Time) (*Node, []RankStats) {
 	nn := &Node{Label: fmt.Sprintf("node%d", node), Kind: "node",
 		Seconds: wall.Seconds(), Parallel: true}
 
 	var smm []iv
 	var retrans []sim.Time
+	var ranks []RankStats
 	taskNames := map[int64]string{}
 	cpuEdges := map[int][]schedEdge{}
 	steals := map[int]map[string][]iv{} // cpu → noise family → steal windows
-	rankStats := map[int]*RankStats{}
-	hasRanks := false
 
-	for _, s := range spans {
-		switch s.Kind {
+	for lo := 0; lo < len(spans); {
+		hi := lo + 1
+		for hi < len(spans) && spans[hi].Tid == spans[lo].Tid {
+			hi++
+		}
+		track := spans[lo:hi]
+		lo = hi
+		// Kind and Index are functions of (node, tid): one per track.
+		switch idx := track[0].Index; track[0].Kind {
 		case obs.TrackSMM:
-			if !s.Instant {
-				smm = append(smm, iv{s.Start, s.End()})
+			for i := range track {
+				if s := &track[i]; !s.Instant {
+					smm = append(smm, iv{s.Start, s.End()})
+				}
 			}
 		case obs.TrackSteal:
-			if !s.Instant {
-				fams := steals[s.Index]
-				if fams == nil {
-					fams = map[string][]iv{}
-					steals[s.Index] = fams
+			for i := range track {
+				if s := &track[i]; !s.Instant {
+					fams := steals[idx]
+					if fams == nil {
+						fams = map[string][]iv{}
+						steals[idx] = fams
+					}
+					fams[s.Name] = append(fams[s.Name], iv{s.Start, s.End()})
 				}
-				fams[s.Name] = append(fams[s.Name], iv{s.Start, s.End()})
 			}
 		case obs.TrackTransport:
-			if s.Instant {
-				retrans = append(retrans, s.Start)
+			for i := range track {
+				if s := &track[i]; s.Instant {
+					retrans = append(retrans, s.Start)
+				}
 			}
 		case obs.TrackTasks:
-			if s.Instant && s.Name != "exit" {
-				taskNames[s.A] = s.Name
+			for i := range track {
+				if s := &track[i]; s.Instant && s.Name != "exit" {
+					taskNames[s.A] = s.Name
+				}
 			}
 		case obs.TrackCPU:
-			edges := cpuEdges[s.Index]
-			if s.Instant {
+			edges := cpuEdges[idx]
+			for i := range track {
+				s := &track[i]
+				if !s.Instant {
+					continue
+				}
 				switch s.Name {
 				case "run":
 					edges = append(edges, schedEdge{s.Start, s.A, true})
@@ -388,33 +406,32 @@ func attributeNode(node int32, spans []obs.Span, wall sim.Time) (*Node, []RankSt
 				case "migrate":
 					// One record, on the destination CPU, with the
 					// source CPU in B: the thread leaves B and enters
-					// this CPU.
-					if from := int(s.B); from >= 0 {
+					// this CPU (a migrate onto its own CPU only enters).
+					if from := int(s.B); from >= 0 && from != idx {
 						cpuEdges[from] = append(cpuEdges[from], schedEdge{s.Start, s.A, false})
 					}
 					edges = append(edges, schedEdge{s.Start, s.A, true})
 				}
 			}
-			cpuEdges[s.Index] = edges
+			cpuEdges[idx] = edges
 		case obs.TrackRank:
-			hasRanks = true
-			rs := rankStats[s.Index]
-			if rs == nil {
-				rs = &RankStats{Node: node, Rank: s.Index}
-				rankStats[s.Index] = rs
+			rs := RankStats{Node: node, Rank: idx}
+			for i := range track {
+				switch s := &track[i]; {
+				case s.Instant && s.Name == "send":
+					rs.Sends++
+					rs.SendBytes += s.B
+				case s.Instant && s.Name == "recv":
+					rs.Recvs++
+				case !s.Instant:
+					rs.CollSeconds += s.Dur.Seconds()
+				}
 			}
-			switch {
-			case s.Instant && s.Name == "send":
-				rs.Sends++
-				rs.SendBytes += s.B
-			case s.Instant && s.Name == "recv":
-				rs.Recvs++
-			case !s.Instant:
-				rs.CollSeconds += s.Dur.Seconds()
-			}
+			ranks = append(ranks, rs)
 		}
 	}
 	smm = clipMerge(smm, wall)
+	hasRanks := len(ranks) > 0
 
 	// CPUs appear from scheduling events or from steal windows — a core
 	// that only ever got stolen from still owns a timeline.
@@ -431,16 +448,6 @@ func attributeNode(node int32, spans []obs.Span, wall sim.Time) (*Node, []RankSt
 	for _, c := range cpus {
 		nn.Children = append(nn.Children,
 			attributeCPU(c, cpuEdges[c], smm, steals[c], retrans, wall, hasRanks, taskNames))
-	}
-
-	var ranks []RankStats
-	var ids []int
-	for r := range rankStats {
-		ids = append(ids, r)
-	}
-	sort.Ints(ids)
-	for _, r := range ids {
-		ranks = append(ranks, *rankStats[r])
 	}
 	return nn, ranks
 }

@@ -70,36 +70,33 @@ func colorOf(cat string) string {
 
 const flameGutter = 170 // left label gutter in pixels
 
-// RenderFlame renders one run of the trace as an icicle SVG.
+// RenderFlame renders one run of the trace as an icicle SVG. Like
+// Attribute it requires ReadTrace's span order: the run is one range
+// of tr.Spans and each of its tracks one range inside it.
 func RenderFlame(tr *obs.Trace, run int32, opt FlameOptions) FlameResult {
 	opt = opt.withDefaults()
-	spans := tr.Select(run, obs.TrackUnknown)
+	spans := tr.RunSpans(run)
 
-	// Track rows in display order: cluster first, then nodes ascending,
-	// tids ascending within a node.
+	// Track rows in display order — cluster first, then nodes ascending,
+	// tids ascending within a node — are the run's (Node, Tid) ranges.
 	type rowKey struct {
 		node int32
 		tid  int32
 	}
-	rows := map[rowKey][]obs.Span{}
 	var keys []rowKey
+	var rowStart []int // first span of each row; the last entry ends the run
 	var wallUS float64
-	for _, s := range spans {
-		k := rowKey{s.Node, s.Tid}
-		if _, ok := rows[k]; !ok {
-			keys = append(keys, k)
+	for i := range spans {
+		s := &spans[i]
+		if i == 0 || s.Node != spans[i-1].Node || s.Tid != spans[i-1].Tid {
+			keys = append(keys, rowKey{s.Node, s.Tid})
+			rowStart = append(rowStart, i)
 		}
-		rows[k] = append(rows[k], s)
 		if end := s.End().Seconds() * 1e6; end > wallUS {
 			wallUS = end
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].node != keys[j].node {
-			return keys[i].node < keys[j].node
-		}
-		return keys[i].tid < keys[j].tid
-	})
+	rowStart = append(rowStart, len(spans))
 	if wallUS <= 0 {
 		wallUS = 1
 	}
@@ -113,13 +110,13 @@ func RenderFlame(tr *obs.Trace, run int32, opt FlameOptions) FlameResult {
 	// is what was invisible anyway.
 	type elem struct {
 		row  int
-		s    obs.Span
+		s    *obs.Span
 		durU float64
 	}
-	var elems []elem
-	for ri, k := range keys {
-		for _, s := range rows[k] {
-			elems = append(elems, elem{ri, s, s.Dur.Seconds() * 1e6})
+	elems := make([]elem, 0, len(spans))
+	for ri := range keys {
+		for i := rowStart[ri]; i < rowStart[ri+1]; i++ {
+			elems = append(elems, elem{ri, &spans[i], spans[i].Dur.Seconds() * 1e6})
 		}
 	}
 	sort.SliceStable(elems, func(i, j int) bool { return elems[i].durU > elems[j].durU })
