@@ -146,14 +146,13 @@ func (r *Rank) Alltoallv(t *kernel.Task, sizes []int) {
 		return
 	}
 	tag := collTag(seq, 0)
-	reqs := make([]*Request, 0, 2*(p-1))
 	for step := 1; step < p; step++ {
 		src := (r.id - step + p) % p
-		reqs = append(reqs, r.Irecv(t, src, tag))
+		r.reqs = append(r.reqs, r.Irecv(t, src, tag))
 	}
 	for step := 1; step < p; step++ {
 		dst := (r.id + step) % p
-		reqs = append(reqs, r.Isend(t, dst, tag, sizes[dst]))
+		r.reqs = append(r.reqs, r.Isend(t, dst, tag, sizes[dst]))
 	}
-	r.WaitAll(t, reqs...)
+	r.waitReleaseAll(t)
 }

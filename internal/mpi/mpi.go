@@ -85,14 +85,15 @@ func ReliableParams() Params {
 
 // Request is a pending point-to-point operation.
 type Request struct {
-	done  bool
-	err   error
-	bytes int
-	src   int
-	wakes []func(any)
+	done   bool
+	err    error
+	bytes  int
+	src    int
+	waiter *Rank // the rank parked in Wait on this request, if any
 
 	// Operation identity, kept as plain ints so blocked-state reports
-	// can be rendered lazily ('s' = send, 'r' = recv).
+	// can be rendered lazily ('s' = send, 'r' = recv). A posted receive
+	// matches arriving envelopes on (peer, tag).
 	kind      byte
 	peer, tag int
 }
@@ -104,13 +105,12 @@ func (q *Request) complete(src, bytes int) {
 	q.done = true
 	q.src = src
 	q.bytes = bytes
-	for _, w := range q.wakes {
-		w(nil)
+	if q.waiter != nil {
+		q.waiter.wake()
 	}
-	q.wakes = nil
 }
 
-// fail completes the request with an error, waking any waiters so they
+// fail completes the request with an error, waking any waiter so it
 // can observe it.
 func (q *Request) fail(err error) {
 	if q.done {
@@ -118,10 +118,9 @@ func (q *Request) fail(err error) {
 	}
 	q.done = true
 	q.err = err
-	for _, w := range q.wakes {
-		w(nil)
+	if q.waiter != nil {
+		q.waiter.wake()
 	}
-	q.wakes = nil
 }
 
 // Done reports whether the request has completed.
@@ -136,17 +135,23 @@ func (q *Request) Source() int { return q.src }
 // Bytes reports the transferred size of a completed request.
 func (q *Request) Bytes() int { return q.bytes }
 
-// message is an in-flight envelope at the receiver: either a delivered
-// eager payload or a rendezvous RTS.
+// message is an envelope from sender to target: an eager payload, or a
+// rendezvous RTS whose CTS and data transfers follow once it is matched.
+// Messages are pooled per World, and each builds its fabric callbacks
+// once, when it is first made.
 type message struct {
+	w               *World
 	src, tag, bytes int
 	rendezvous      bool
-	sendReq         *Request // completed when the rendezvous data lands
-}
+	sender, target  *Rank
+	sendReq         *Request // rendezvous: completed when the data lands
+	recvReq         *Request // rendezvous: the matched receive
 
-type recvReq struct {
-	src, tag int
-	req      *Request
+	deliverFn  func()      // the envelope reaches target
+	ctsFn      func()      // the CTS reaches sender, which sends the data
+	dataFn     func()      // the rendezvous data reaches target
+	failRTSFn  func(error) // the RTS is lost for good
+	failBothFn func(error) // the CTS or the data is lost for good
 }
 
 // World is one MPI job: a set of ranks placed over a cluster.
@@ -166,6 +171,10 @@ type World struct {
 	wdEvent  *sim.Event
 
 	tr obs.Tracer // nil unless the run is traced
+
+	// Free lists of requests and messages the runtime has finished with.
+	freeReqs []*Request
+	freeMsgs []*message
 }
 
 // SetTracer attaches an observability tracer for MPI traffic events
@@ -184,12 +193,13 @@ type Rank struct {
 	task *kernel.Task
 
 	mailbox []*message
-	posted  []*recvReq
+	posted  []*Request // receives not yet matched
+	reqs    []*Request // Alltoall's and Alltoallv's posted requests
 	collSeq int
 
 	done    bool
 	err     error     // asynchronous transport failure, observed at Wait
-	wake    func(any) // set while parked in Wait
+	parked  *sim.Proc // set while parked in Wait and not yet woken
 	waiting *Request  // the request being waited on, for the watchdog
 }
 
@@ -214,8 +224,15 @@ func (r *Rank) fatal(err error) {
 	if r.err == nil {
 		r.err = err
 	}
-	if r.wake != nil {
-		r.wake(nil)
+	r.wake()
+}
+
+// wake resumes the rank parked in Wait. A completing request and a
+// transport failure can both try to wake one park; only the first does.
+func (r *Rank) wake() {
+	if p := r.parked; p != nil {
+		r.parked = nil
+		p.Resumer()()
 	}
 }
 
@@ -359,40 +376,35 @@ func (r *Rank) Isend(t *kernel.Task, dst, tag, bytes int) *Request {
 	if dst < 0 || dst >= len(r.w.ranks) {
 		panic(fmt.Sprintf("mpi: Isend to rank %d of %d", dst, len(r.w.ranks)))
 	}
-	par := r.w.par
+	w := r.w
+	par := w.par
 	t.Compute(par.SendOps + float64(bytes)*par.PackOpsPerByte)
 	r.emitMPI(obs.EvMPISend, int64(dst), int64(bytes), "")
-	req := &Request{kind: 's', peer: dst, tag: tag}
-	target := r.w.ranks[dst]
-	if bytes <= par.EagerLimit {
+	req := w.newRequest('s', dst, tag)
+	m := w.newMessage()
+	m.src, m.tag, m.bytes = r.id, tag, bytes
+	m.sender, m.target = r, w.ranks[dst]
+	m.rendezvous = bytes > par.EagerLimit
+	if !m.rendezvous {
 		// Eager: payload travels immediately; the send buffer is
 		// reusable as soon as it is on the wire. A transport failure of
 		// the payload is asynchronous (the request already completed), so
 		// it poisons the sending rank instead.
-		m := &message{src: r.id, tag: tag, bytes: bytes}
-		r.w.xmit(r, r.node, target.node, bytes+envelopeBytes, func() {
-			target.deliver(m)
-		}, nil)
+		w.xmit(r, r.node, m.target.node, bytes+envelopeBytes, m.deliverFn, nil)
 		req.complete(r.id, bytes)
 		return req
 	}
 	// Rendezvous: send an RTS; data moves once the receiver has posted.
-	m := &message{src: r.id, tag: tag, bytes: bytes, rendezvous: true, sendReq: req}
-	r.w.xmit(r, r.node, target.node, envelopeBytes, func() {
-		target.deliver(m)
-	}, func(err error) {
-		req.fail(err)
-		r.fatal(err)
-	})
+	m.sendReq = req
+	w.xmit(r, r.node, m.target.node, envelopeBytes, m.deliverFn, m.failRTSFn)
 	return req
 }
 
 // Irecv posts a non-blocking receive matching (src, tag); src may be
 // AnySource.
 func (r *Rank) Irecv(t *kernel.Task, src, tag int) *Request {
-	par := r.w.par
-	t.Compute(par.RecvOps)
-	req := &Request{kind: 'r', peer: src, tag: tag}
+	t.Compute(r.w.par.RecvOps)
+	req := r.w.newRequest('r', src, tag)
 	for i, m := range r.mailbox {
 		if matches(src, tag, m.src, m.tag) {
 			r.mailbox = append(r.mailbox[:i], r.mailbox[i+1:]...)
@@ -400,17 +412,17 @@ func (r *Rank) Irecv(t *kernel.Task, src, tag int) *Request {
 			return req
 		}
 	}
-	r.posted = append(r.posted, &recvReq{src: src, tag: tag, req: req})
+	r.posted = append(r.posted, req)
 	return req
 }
 
 // deliver handles an arriving envelope: match a posted receive or queue.
 func (r *Rank) deliver(m *message) {
 	r.w.bump()
-	for i, rr := range r.posted {
-		if matches(rr.src, rr.tag, m.src, m.tag) {
+	for i, q := range r.posted {
+		if matches(q.peer, q.tag, m.src, m.tag) {
 			r.posted = append(r.posted[:i], r.posted[i+1:]...)
-			r.consume(m, rr.req)
+			r.consume(m, q)
 			return
 		}
 	}
@@ -425,25 +437,95 @@ func (r *Rank) consume(m *message, req *Request) {
 	if !m.rendezvous {
 		r.emitMPI(obs.EvMPIRecv, int64(m.src), int64(m.bytes), "")
 		req.complete(m.src, m.bytes)
+		w.putMessage(m)
 		return
 	}
-	sender := w.ranks[m.src]
-	// A lost CTS or payload strands both sides of the handshake, so a
-	// transport failure fails both requests and poisons both ranks.
-	failBoth := func(err error) {
-		m.sendReq.fail(err)
-		req.fail(err)
-		sender.fatal(err)
-		r.fatal(err)
-	}
 	// CTS back to the sender, then the payload to us.
-	w.xmit(r, r.node, sender.node, envelopeBytes, func() {
-		w.xmit(sender, sender.node, r.node, m.bytes, func() {
-			r.emitMPI(obs.EvMPIRecv, int64(m.src), int64(m.bytes), "")
-			m.sendReq.complete(m.src, m.bytes)
-			req.complete(m.src, m.bytes)
-		}, failBoth)
-	}, failBoth)
+	m.recvReq = req
+	w.xmit(r, r.node, m.sender.node, envelopeBytes, m.ctsFn, m.failBothFn)
+}
+
+// cts runs when the CTS reaches the sender: the payload goes out.
+func (m *message) cts() {
+	m.w.xmit(m.sender, m.sender.node, m.target.node, m.bytes, m.dataFn, m.failBothFn)
+}
+
+// data runs when the rendezvous payload lands at the receiver.
+func (m *message) data() {
+	m.target.emitMPI(obs.EvMPIRecv, int64(m.src), int64(m.bytes), "")
+	m.sendReq.complete(m.src, m.bytes)
+	m.recvReq.complete(m.src, m.bytes)
+	m.w.putMessage(m)
+}
+
+// failRTS fails the send whose RTS was lost and poisons the sender.
+func (m *message) failRTS(err error) {
+	m.sendReq.fail(err)
+	m.sender.fatal(err)
+}
+
+// failBoth handles a lost CTS or payload, which strands both sides of
+// the handshake: it fails both requests and poisons both ranks.
+func (m *message) failBoth(err error) {
+	m.sendReq.fail(err)
+	m.recvReq.fail(err)
+	m.sender.fatal(err)
+	m.target.fatal(err)
+}
+
+// newRequest takes a request from the free list, or makes one.
+func (w *World) newRequest(kind byte, peer, tag int) *Request {
+	var q *Request
+	if n := len(w.freeReqs); n > 0 {
+		q = w.freeReqs[n-1]
+		w.freeReqs[n-1] = nil
+		w.freeReqs = w.freeReqs[:n-1]
+	} else {
+		q = new(Request)
+	}
+	*q = Request{kind: kind, peer: peer, tag: tag}
+	return q
+}
+
+// newMessage takes a message from the free list, or makes one with its
+// fabric callbacks.
+func (w *World) newMessage() *message {
+	if n := len(w.freeMsgs); n > 0 {
+		m := w.freeMsgs[n-1]
+		w.freeMsgs[n-1] = nil
+		w.freeMsgs = w.freeMsgs[:n-1]
+		return m
+	}
+	m := &message{w: w}
+	m.deliverFn = func() { m.target.deliver(m) }
+	m.ctsFn = m.cts
+	m.dataFn = m.data
+	m.failRTSFn = m.failRTS
+	m.failBothFn = m.failBoth
+	return m
+}
+
+// recycles reports whether finished requests and messages go back to
+// the free lists. The reliable transport can run a transfer's failure
+// callback long after the operation it belongs to completed, when its
+// acks are lost, so with RTO set nothing is reused and that late
+// callback only ever reaches the objects of its own operation.
+func (w *World) recycles() bool { return w.par.RTO <= 0 }
+
+// putRequest returns a request the runtime posted for itself, and has
+// waited for, to the free list.
+func (w *World) putRequest(q *Request) {
+	if w.recycles() {
+		w.freeReqs = append(w.freeReqs, q)
+	}
+}
+
+// putMessage returns a consumed message to the free list.
+func (w *World) putMessage(m *message) {
+	if w.recycles() {
+		m.sendReq, m.recvReq = nil, nil
+		w.freeMsgs = append(w.freeMsgs, m)
+	}
 }
 
 func matches(wantSrc, wantTag, src, tag int) bool {
@@ -454,17 +536,14 @@ func matches(wantSrc, wantTag, src, tag int) bool {
 // failed request — or an asynchronous transport failure poisoning the
 // rank — aborts the rank here, surfacing through RunE.
 func (r *Rank) Wait(t *kernel.Task, req *Request) {
-	for !req.done {
-		if r.err != nil {
-			r.abort(r.err)
-		}
-		wake, wait := t.Proc().Wait()
-		req.wakes = append(req.wakes, wake)
-		r.wake = wake
+	for !req.done && r.err == nil {
+		p := t.Proc()
+		req.waiter = r
 		r.waiting = req
-		wait()
-		r.wake = nil
+		r.parked = p
+		p.Park()
 		r.waiting = nil
+		req.waiter = nil
 	}
 	if req.err != nil {
 		r.abort(req.err)
@@ -482,23 +561,43 @@ func (r *Rank) WaitAll(t *kernel.Task, reqs ...*Request) {
 	}
 }
 
+// waitRelease waits for a request the runtime posted for itself and
+// hands it back to the free list.
+func (r *Rank) waitRelease(t *kernel.Task, q *Request) {
+	r.Wait(t, q)
+	r.w.putRequest(q)
+}
+
+// waitReleaseAll waits for the requests an all-to-all posted into
+// r.reqs, in order, and hands each back to the free list.
+func (r *Rank) waitReleaseAll(t *kernel.Task) {
+	for _, q := range r.reqs {
+		r.waitRelease(t, q)
+	}
+	clear(r.reqs)
+	r.reqs = r.reqs[:0]
+}
+
 // Send is a blocking send.
 func (r *Rank) Send(t *kernel.Task, dst, tag, bytes int) {
-	r.Wait(t, r.Isend(t, dst, tag, bytes))
+	r.waitRelease(t, r.Isend(t, dst, tag, bytes))
 }
 
 // Recv is a blocking receive; it returns the matched source.
 func (r *Rank) Recv(t *kernel.Task, src, tag int) int {
 	req := r.Irecv(t, src, tag)
 	r.Wait(t, req)
-	return req.Source()
+	from := req.src
+	r.w.putRequest(req)
+	return from
 }
 
 // Sendrecv exchanges messages with dst/src concurrently.
 func (r *Rank) Sendrecv(t *kernel.Task, dst, sendTag, sendBytes, src, recvTag int) {
 	rq := r.Irecv(t, src, recvTag)
 	sq := r.Isend(t, dst, sendTag, sendBytes)
-	r.WaitAll(t, rq, sq)
+	r.waitRelease(t, rq)
+	r.waitRelease(t, sq)
 }
 
 // collTag builds a unique internal (negative) tag for collective `seq`,
@@ -524,7 +623,8 @@ func (r *Rank) Barrier(t *kernel.Task) {
 		tag := collTag(seq, round)
 		sq := r.Isend(t, dst, tag, 1)
 		rq := r.Irecv(t, src, tag)
-		r.WaitAll(t, sq, rq)
+		r.waitRelease(t, sq)
+		r.waitRelease(t, rq)
 		round++
 	}
 }
@@ -618,14 +718,13 @@ func (r *Rank) Alltoall(t *kernel.Task, bytesPerRank int) {
 	// concurrent flows per rank, which is what makes all-to-all patterns
 	// collapse on commodity Ethernet (netsim's incast model).
 	tag := collTag(seq, 0)
-	reqs := make([]*Request, 0, 2*(p-1))
 	for step := 1; step < p; step++ {
 		src := (r.id - step + p) % p
-		reqs = append(reqs, r.Irecv(t, src, tag))
+		r.reqs = append(r.reqs, r.Irecv(t, src, tag))
 	}
 	for step := 1; step < p; step++ {
 		dst := (r.id + step) % p
-		reqs = append(reqs, r.Isend(t, dst, tag, bytesPerRank))
+		r.reqs = append(r.reqs, r.Isend(t, dst, tag, bytesPerRank))
 	}
-	r.WaitAll(t, reqs...)
+	r.waitReleaseAll(t)
 }

@@ -7,6 +7,7 @@ import (
 	"smistudy/internal/cluster"
 	"smistudy/internal/faults"
 	"smistudy/internal/kernel"
+	"smistudy/internal/netsim"
 	"smistudy/internal/sim"
 	"smistudy/internal/smm"
 )
@@ -228,5 +229,64 @@ func TestPartitionHealsAndRunCompletes(t *testing.T) {
 	}
 	if st := w.TransportStats(); st.Retransmits == 0 {
 		t.Fatalf("partition produced no retransmits: %+v", st)
+	}
+}
+
+// ackDropper loses every envelope node `from` sends once a payload
+// larger than an envelope has gone by: the rendezvous data lands, but
+// none of its acks reach the sender.
+type ackDropper struct {
+	from  int
+	armed bool
+}
+
+func (d *ackDropper) Perturb(src, dst, bytes int) netsim.Verdict {
+	if bytes > envelopeBytes {
+		d.armed = true
+	}
+	return netsim.Verdict{Drop: d.armed && src == d.from && bytes == envelopeBytes}
+}
+
+// TestLateTransferFailureSparesLaterRequests: when a rendezvous payload
+// lands but every ack is lost, the transfer exhausts its retries after
+// both ranks finished the operation. Both ranks are still poisoned with
+// ErrPeerUnreachable, and the late failure reaches only that
+// operation's objects, never the requests of an operation posted since.
+func TestLateTransferFailureSparesLaterRequests(t *testing.T) {
+	par := ReliableParams()
+	par.MaxRetries = 2
+	w, _ := faultWorld(t, 1, 2, par, faults.Schedule{})
+	w.cl.Fabric.SetPerturber(&ackDropper{from: 1})
+	var later [2]*Request
+	var doneBeforeWait [2]bool
+	_, err := w.RunE(prof, func(r *Rank, tk *kernel.Task) {
+		other := 1 - r.ID()
+		if r.ID() == 0 {
+			r.Send(tk, 1, 1, 2*par.EagerLimit)
+		} else {
+			r.Recv(tk, 0, 1)
+		}
+		// Posted while the payload is still being retransmitted; never
+		// matched.
+		q := r.Irecv(tk, other, 2)
+		later[r.ID()] = q
+		tk.Nanosleep(sim.Second) // past the last retry
+		doneBeforeWait[r.ID()] = q.Done()
+		r.Wait(tk, q)
+	})
+	if !errors.Is(err, ErrPeerUnreachable) {
+		t.Fatalf("err = %v, want ErrPeerUnreachable", err)
+	}
+	if st := w.TransportStats(); st.Failures != 1 {
+		t.Fatalf("%d failed transfers, want 1: %+v", st.Failures, st)
+	}
+	for id := 0; id < 2; id++ {
+		if rerr := w.Rank(id).err; !errors.Is(rerr, ErrPeerUnreachable) {
+			t.Errorf("rank %d poisoned with %v, want ErrPeerUnreachable", id, rerr)
+		}
+		if q := later[id]; doneBeforeWait[id] || q.Done() || q.Err() != nil {
+			t.Errorf("rank %d: the late failure reached a later request (done %v, then %v, err %v)",
+				id, doneBeforeWait[id], q.Done(), q.Err())
+		}
 	}
 }

@@ -117,7 +117,33 @@ type Fabric struct {
 	stats Stats
 	links [][]LinkStats
 
+	free []*flight // recycled in-flight records, reused by Deliver
+
 	tr obs.Tracer // nil unless the run is traced
+}
+
+// flight is one internode message on the wire. Flights are recycled
+// through the fabric's free list, and each builds its arrival callback
+// once, so a delivery schedules no new closure.
+type flight struct {
+	f        *Fabric
+	src, dst int
+	fn       func()
+	arriveFn func()
+}
+
+// arrive ends the flight's share of the incast bookkeeping, recycles it
+// and runs the delivery callback.
+func (fl *flight) arrive() {
+	f := fl.f
+	f.flows[fl.src][fl.dst]--
+	if f.flows[fl.src][fl.dst] == 0 {
+		f.inFlows[fl.dst]--
+	}
+	fn := fl.fn
+	fl.fn = nil
+	f.free = append(f.free, fl)
+	fn()
 }
 
 // SetTracer attaches an observability tracer for internode delivery,
@@ -260,13 +286,17 @@ func (f *Fabric) Deliver(src, dst int, bytes int, fn func()) sim.Time {
 		f.tr.Emit(obs.Event{Time: now, Dur: rxEnd - now, Type: obs.EvNetDeliver,
 			Node: int32(src), Track: -1, A: int64(dst), B: int64(bytes)})
 	}
-	f.eng.At(rxEnd, func() {
-		f.flows[src][dst]--
-		if f.flows[src][dst] == 0 {
-			f.inFlows[dst]--
-		}
-		fn()
-	})
+	var fl *flight
+	if n := len(f.free); n > 0 {
+		fl = f.free[n-1]
+		f.free[n-1] = nil
+		f.free = f.free[:n-1]
+	} else {
+		fl = &flight{f: f}
+		fl.arriveFn = fl.arrive
+	}
+	fl.src, fl.dst, fl.fn = src, dst, fn
+	f.eng.At(rxEnd, fl.arriveFn)
 	return rxEnd
 }
 

@@ -487,7 +487,14 @@ func (s *scanner) key(keys []string, first field) (field, bool) {
 		return fUnknown, false
 	}
 	// An exact match is a folded match too, and no two keys fold alike,
-	// so the folded match is the field encoding/json picks.
+	// so the folded match is the field encoding/json picks. Writers emit
+	// the exact names, so a cheap exact pass settles almost every key
+	// and folding runs only on a miss.
+	for i, name := range keys {
+		if string(k) == name {
+			return first + field(i), true
+		}
+	}
 	for i, name := range keys {
 		if equalFold(k, name) {
 			return first + field(i), true

@@ -80,9 +80,19 @@ type Jitter struct {
 // schedule is a pure function of (seed, cpu) no matter what else the
 // engine interleaves.
 type jitterStream struct {
+	j    *Jitter
 	cpu  int
 	rng  *rand.Rand
 	next *sim.Event // pending tick, nil while idle or mid-steal
+
+	// The steal in flight, from the tick that stalls the CPU to the
+	// steal end that unstalls it.
+	stealing   bool
+	start, dur sim.Time
+
+	// tickFn and endFn are the stream's tick and steal-end callbacks,
+	// built once so a tick schedules no new closure.
+	tickFn, endFn func()
 }
 
 // NewJitter builds a jitter source against a processor model. The
@@ -103,10 +113,13 @@ func NewJitter(eng *sim.Engine, cpu CPUStaller, cfg JitterConfig) (*Jitter, erro
 		if id >= cpu.NumLogical() {
 			return nil, fmt.Errorf("perturb: jitter target CPU %d out of range (%d logical)", id, cpu.NumLogical())
 		}
-		j.streams = append(j.streams, &jitterStream{
+		s := &jitterStream{
+			j:   j,
 			cpu: id,
 			rng: rand.New(rand.NewSource(DeriveSeed(cfg.Seed, uint64(id)))),
-		})
+		}
+		s.tickFn, s.endFn = s.tick, s.end
+		j.streams = append(j.streams, s)
 	}
 	return j, nil
 }
@@ -127,14 +140,18 @@ func (j *Jitter) Meta() Meta {
 func (j *Jitter) Config() JitterConfig { return j.cfg }
 
 // Start arms a tick on every target CPU. Restarting after Stop
-// continues each CPU's stream where it left off.
+// continues each CPU's stream where it left off; a CPU still in the
+// steal it began before Stop arms its next tick when that steal ends,
+// so it never runs two tick chains.
 func (j *Jitter) Start() {
 	if j.running {
 		return
 	}
 	j.running = true
 	for _, s := range j.streams {
-		j.arm(s)
+		if !s.stealing {
+			s.arm()
+		}
 	}
 }
 
@@ -172,35 +189,44 @@ func (j *Jitter) Episodes() []Episode {
 // Stolen is the total residency stolen across all target CPUs.
 func (j *Jitter) Stolen() sim.Time { return j.stolen }
 
-func (j *Jitter) arm(s *jitterStream) {
-	s.next = j.eng.After(jittered(s.rng, j.cfg.Period, j.cfg.Jitter), func() {
-		s.next = nil
-		j.tick(s)
-	})
+// arm schedules the stream's next tick one jittered period from now.
+func (s *jitterStream) arm() {
+	j := s.j
+	s.next = j.eng.After(jittered(s.rng, j.cfg.Period, j.cfg.Jitter), s.tickFn)
 }
 
-func (j *Jitter) tick(s *jitterStream) {
-	d := jittered(s.rng, j.cfg.Duration, j.cfg.Jitter)
-	start := j.eng.Now()
+// tick steals the CPU for one jittered duration.
+func (s *jitterStream) tick() {
+	j := s.j
+	s.next = nil
+	s.dur = jittered(s.rng, j.cfg.Duration, j.cfg.Jitter)
+	s.start = j.eng.Now()
+	s.stealing = true
 	j.cpu.StallCPU(s.cpu)
 	if j.tr != nil {
-		j.tr.Emit(obs.Event{Time: start, Type: obs.EvStealEnter, Node: j.node, Track: int32(s.cpu), Name: JitterFamily})
+		j.tr.Emit(obs.Event{Time: s.start, Type: obs.EvStealEnter, Node: j.node, Track: int32(s.cpu), Name: JitterFamily})
 	}
-	j.eng.After(d, func() {
-		j.cpu.UnstallCPU(s.cpu)
-		if n := len(j.eps); n == 0 || len(j.eps[n-1]) == episodeChunk {
-			j.eps = append(j.eps, make([]Episode, 0, episodeChunk))
-		}
-		last := &j.eps[len(j.eps)-1]
-		*last = append(*last, Episode{CPU: s.cpu, Start: start, Duration: d})
-		j.stolen += d
-		if j.tr != nil {
-			j.tr.Emit(obs.Event{Time: j.eng.Now(), Dur: d, Type: obs.EvStealExit, Node: j.node, Track: int32(s.cpu), Name: JitterFamily})
-		}
-		if j.running {
-			j.arm(s)
-		}
-	})
+	j.eng.After(s.dur, s.endFn)
+}
+
+// end returns the CPU, logs the steal and, while the source runs, arms
+// the next tick.
+func (s *jitterStream) end() {
+	j := s.j
+	s.stealing = false
+	j.cpu.UnstallCPU(s.cpu)
+	if n := len(j.eps); n == 0 || len(j.eps[n-1]) == episodeChunk {
+		j.eps = append(j.eps, make([]Episode, 0, episodeChunk))
+	}
+	last := &j.eps[len(j.eps)-1]
+	*last = append(*last, Episode{CPU: s.cpu, Start: s.start, Duration: s.dur})
+	j.stolen += s.dur
+	if j.tr != nil {
+		j.tr.Emit(obs.Event{Time: j.eng.Now(), Dur: s.dur, Type: obs.EvStealExit, Node: j.node, Track: int32(s.cpu), Name: JitterFamily})
+	}
+	if j.running {
+		s.arm()
+	}
 }
 
 // jittered draws base scaled by a uniform factor in [1-frac, 1+frac),

@@ -221,3 +221,57 @@ func TestMetaAndScopeStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestJitterTickAllocFree: each stream builds its tick and steal-end
+// callbacks once, so a tick, its steal and the re-arm allocate nothing
+// (the episode log grows by whole chunks, one per 1024 steals).
+func TestJitterTickAllocFree(t *testing.T) {
+	e := sim.New(1)
+	j, err := NewJitter(e, newFakeStaller(2), JitterConfig{
+		Period: 10 * sim.Millisecond, Duration: 200 * sim.Microsecond, Jitter: 0.2, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Start()
+	period := func() { e.RunUntil(e.Now() + 10*sim.Millisecond) }
+	period()
+	if got := testing.AllocsPerRun(200, period); got != 0 {
+		t.Fatalf("a period of jitter ticks allocates %.1f allocs/op, want 0", got)
+	}
+	if n := len(j.Episodes()); n < 200 {
+		t.Fatalf("%d steals completed, want at least one per measured period", n)
+	}
+}
+
+// TestJitterRestartMidSteal: a Stop and Start while a steal is in
+// flight must not arm a second tick chain on that CPU. With a strictly
+// periodic 10 ms gap and 2 ms steals, one CPU steals 83 times in the
+// first second either way, and no two steals overlap.
+func TestJitterRestartMidSteal(t *testing.T) {
+	e := sim.New(1)
+	j, err := NewJitter(e, newFakeStaller(1), JitterConfig{
+		Period: 10 * sim.Millisecond, Duration: 2 * sim.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Start()
+	e.At(11*sim.Millisecond, func() { // inside the first steal, 10–12 ms
+		j.Stop()
+		j.Start()
+	})
+	e.RunUntil(sim.Second)
+	eps := j.Episodes()
+	if len(eps) != 83 {
+		t.Fatalf("%d steals in the first second, want 83", len(eps))
+	}
+	for i, ep := range eps {
+		if want := sim.Time(i)*12*sim.Millisecond + 10*sim.Millisecond; ep.Start != want {
+			t.Fatalf("steal %d starts at %v, want %v", i, ep.Start, want)
+		}
+		if ep.Duration != 2*sim.Millisecond {
+			t.Fatalf("steal %d lasts %v, want 2ms", i, ep.Duration)
+		}
+	}
+}

@@ -26,11 +26,11 @@ type Proc struct {
 	pval   any  // panic value propagated from the process goroutine
 	dead   bool // killed or finished
 
-	// wakeFn resumes the process with no value. Built once so the
-	// Sleep hot path does not allocate a closure per call.
+	// wakeFn resumes the process. Built once so the Sleep hot path
+	// does not allocate a closure per call.
 	wakeFn func()
-	// resumeFn schedules wakeFn as an immediate event, the wake-up a
-	// Wait pair's wake(nil) schedules. Built once, like wakeFn.
+	// resumeFn schedules wakeFn as an immediate event; Resumer hands
+	// it out. Built once, like wakeFn.
 	resumeFn func()
 }
 
@@ -45,7 +45,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		state:  procNew,
 		resume: make(chan any),
 	}
-	p.wakeFn = func() { e.transfer(p, nil) }
+	p.wakeFn = func() { e.transfer(p) }
 	p.resumeFn = func() { e.At(e.now, p.wakeFn) }
 	e.procs[p] = struct{}{}
 
@@ -79,14 +79,14 @@ func (p *Proc) finish(panicVal any) {
 	p.eng.yield <- struct{}{}
 }
 
-// transfer resumes p with value v and blocks until p parks or finishes.
-// Must run on the engine goroutine (inside an event callback).
-func (e *Engine) transfer(p *Proc, v any) {
+// transfer resumes p and blocks until p parks or finishes. Must run on
+// the engine goroutine (inside an event callback).
+func (e *Engine) transfer(p *Proc) {
 	if p.dead {
 		return
 	}
 	p.state = procRunning
-	p.resume <- v
+	p.resume <- nil
 	<-e.yield
 	if p.state == procDone {
 		delete(e.procs, p)
@@ -96,17 +96,15 @@ func (e *Engine) transfer(p *Proc, v any) {
 	}
 }
 
-// park suspends the process until the engine resumes it, returning the
-// value passed to the wake-up. Runs on the process goroutine.
-func (p *Proc) park() any {
+// park suspends the process until the engine resumes it. Runs on the
+// process goroutine.
+func (p *Proc) park() {
 	p.state = procParked
 	p.eng.yield <- struct{}{}
-	v := <-p.resume
-	if _, kill := v.(killSentinel); kill {
+	if _, kill := (<-p.resume).(killSentinel); kill {
 		panic(killSentinel{})
 	}
 	p.state = procRunning
-	return v
 }
 
 // kill terminates a parked process. Must run on the engine goroutine.
@@ -142,28 +140,13 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// Wait suspends the process until another component calls the returned
-// wake function. The wake function schedules the resumption as an
-// immediate event and may be called from engine or process context; extra
-// calls are ignored.
-func (p *Proc) Wait() (wake func(v any), wait func() any) {
-	woken := false
-	wake = func(v any) {
-		if woken {
-			return
-		}
-		woken = true
-		p.eng.At(p.eng.now, func() { p.eng.transfer(p, v) })
-	}
-	wait = func() any { return p.park() }
-	return wake, wait
-}
-
-// Resumer returns a callback that wakes p through an immediate event,
-// exactly as calling the wake function of a Wait pair with nil does. It
-// is built once per process, so a hot path can hand it out as a
-// completion callback and then Park without allocating. Unlike Wait's
-// wake it has no once-only guard: call it once per Park.
+// Resumer returns a callback that wakes p through an immediate event: it
+// schedules the resumption at the current time, after the events
+// already queued for that instant, and may be called from engine or
+// process context. It is built once per process, so a hot path can hand
+// it out as a completion callback and then Park without allocating. It
+// has no once-only guard: call it once per Park, and let a caller with
+// several possible wakers keep its own guard.
 func (p *Proc) Resumer() func() { return p.resumeFn }
 
 // Park suspends p until something resumes it, such as a Resumer

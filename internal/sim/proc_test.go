@@ -44,42 +44,24 @@ func TestProcInterleaving(t *testing.T) {
 	}
 }
 
+// TestProcWaitWake: a process parked with Park resumes when another
+// process calls its Resumer, at that caller's time.
 func TestProcWaitWake(t *testing.T) {
 	e := New(1)
-	var got any
-	var wake func(any)
+	var resumedAt Time
+	var resume func()
 	e.Go("waiter", func(p *Proc) {
-		var wait func() any
-		wake, wait = p.Wait()
-		got = wait()
+		resume = p.Resumer()
+		p.Park()
+		resumedAt = p.Now()
 	})
 	e.Go("waker", func(p *Proc) {
 		p.Sleep(5)
-		wake("hello")
+		resume()
 	})
 	e.Run()
-	if got != "hello" {
-		t.Fatalf("wait returned %v, want hello", got)
-	}
-}
-
-func TestProcWaitDoubleWakeIgnored(t *testing.T) {
-	e := New(1)
-	resumed := 0
-	e.Go("waiter", func(p *Proc) {
-		wake, wait := p.Wait()
-		e.After(5, func() { wake(1) })
-		e.After(6, func() { wake(2) })
-		wait()
-		resumed++
-		p.Sleep(100)
-	})
-	e.Run()
-	if resumed != 1 {
-		t.Fatalf("resumed = %d, want 1", resumed)
-	}
-	if e.Now() != 105 {
-		t.Fatalf("clock = %v, want 105 (sleep not disturbed by second wake)", e.Now())
+	if resumedAt != 5 {
+		t.Fatalf("parked process resumed at %v, want 5", resumedAt)
 	}
 }
 

@@ -266,13 +266,13 @@ func Run(cl *cluster.Cluster, cfg Config) Result {
 	var res Result
 	controllerDone := false
 	cl.Eng.Go("unixbench", func(p *sim.Proc) {
+		resume := p.Resumer()
 		for _, b := range tests {
 			score := TestScore{Name: b.Name, Unit: b.Unit, MultiCopies: multiCopies}
 			for pi, pass := range []int{1, multiCopies} {
 				rate := 0.0
-				wake, wait := p.Wait()
-				b.run(k, pass, cfg.Duration, func(r float64) { rate = r; wake(nil) })
-				wait()
+				b.run(k, pass, cfg.Duration, func(r float64) { rate = r; resume() })
+				p.Park()
 				if pi == 0 {
 					score.SingleRate = rate
 					score.SingleIndex = rate / b.Baseline * 10
