@@ -109,3 +109,35 @@ func TestSignalWaitAllocFree(t *testing.T) {
 	}
 	e.Shutdown()
 }
+
+// TestProcSwitchAllocFree: resuming a process allocates nothing, both
+// when the process that ran the event loop resumes itself (a sleep
+// loop) and when it hands control to another (two processes waking
+// each other).
+func TestProcSwitchAllocFree(t *testing.T) {
+	t.Run("sleep", func(t *testing.T) {
+		e := New(1)
+		e.Go("sleeper", func(p *Proc) {
+			for {
+				p.Sleep(1)
+			}
+		})
+		round := func() { e.RunUntil(e.Now() + 100) }
+		round()
+		if got := testing.AllocsPerRun(100, round); got != 0 {
+			t.Fatalf("100 sleeps allocate %.1f allocs/op, want 0", got)
+		}
+		e.Shutdown()
+	})
+	t.Run("ping-pong", func(t *testing.T) {
+		pp := newPingPong(New(1))
+		round := func() { pp.run(100) }
+		round()
+		if got := testing.AllocsPerRun(100, round); got != 0 {
+			t.Fatalf("100 turns allocate %.1f allocs/op, want 0", got)
+		}
+		if leaked := pp.e.Shutdown(); leaked != 2 {
+			t.Fatalf("Shutdown killed %d processes, want the 2 parked", leaked)
+		}
+	})
+}

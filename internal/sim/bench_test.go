@@ -83,3 +83,66 @@ func BenchmarkCancelOfMany(b *testing.B) {
 		evs[j] = e.At(Time(e.Rand().Int63n(1<<40)+1), fn)
 	}
 }
+
+// BenchmarkProcSleep measures a process that sleeps in a loop: each
+// wake resumes the process that ran the loop, so it costs no goroutine
+// switch.
+func BenchmarkProcSleep(b *testing.B) {
+	b.ReportAllocs()
+	e := New(1)
+	e.Go("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkProcPingPong measures two processes that take turns waking
+// each other through Resumer and Park: one goroutine switch per resume.
+func BenchmarkProcPingPong(b *testing.B) {
+	b.ReportAllocs()
+	pp := newPingPong(New(1))
+	b.ResetTimer()
+	pp.run(b.N)
+	b.StopTimer()
+	pp.e.Shutdown()
+}
+
+// pingPong is two processes that take turns waking each other through
+// Resumer and Park. Every resume counts a turn; the process that makes
+// the last turn of a run stops the engine instead of waking the other,
+// so both end up parked.
+type pingPong struct {
+	e           *Engine
+	wake        [2]func()
+	turns, last int
+}
+
+// newPingPong spawns the pair and runs the engine until both are parked.
+func newPingPong(e *Engine) *pingPong {
+	pp := &pingPong{e: e}
+	for i := range pp.wake {
+		e.Go("pingpong", func(p *Proc) {
+			pp.wake[i] = p.Resumer()
+			for {
+				p.Park()
+				if pp.turns++; pp.turns >= pp.last {
+					e.Stop()
+					continue
+				}
+				pp.wake[1-i]()
+			}
+		})
+	}
+	e.Run()
+	return pp
+}
+
+// run makes n more turns, the first by process 0.
+func (pp *pingPong) run(n int) {
+	pp.last = pp.turns + n
+	pp.wake[0]()
+	pp.e.Run()
+}

@@ -21,7 +21,8 @@ type Event struct {
 	at       Time
 	seq      uint64
 	fn       func()
-	index    int // heap index, -1 when not queued
+	proc     *Proc // the process a wake event resumes; fn is then nil
+	index    int   // heap index, -1 when not queued
 	canceled bool
 }
 
@@ -135,8 +136,11 @@ type Engine struct {
 	rng       *rand.Rand
 	running   bool
 	stopped   bool
+	limit     Time // RunUntil's limit, read by whichever goroutine runs the loop
 
-	yield chan struct{} // process -> engine handoff
+	// yield hands control back to RunUntil's caller, carrying nil or
+	// the panic to re-raise, and from a killed process to Shutdown.
+	yield chan any
 	procs map[*Proc]struct{}
 
 	nextProcID int
@@ -157,7 +161,7 @@ func New(seed int64) *Engine {
 		queue: make(eventHeap, 0, queueHint),
 		free:  make([]*Event, 0, queueHint),
 		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
+		yield: make(chan any),
 		procs: make(map[*Proc]struct{}),
 	}
 }
@@ -185,12 +189,17 @@ func (e *Engine) alloc() *Event {
 // resets every field on reuse.
 func (e *Engine) recycle(ev *Event) {
 	ev.fn = nil
+	ev.proc = nil
 	e.free = append(e.free, ev)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it would silently corrupt causality.
-func (e *Engine) At(t Time, fn func()) *Event {
+func (e *Engine) At(t Time, fn func()) *Event { return e.schedule(t, fn, nil) }
+
+// schedule queues an event at t that either calls fn or, when p is not
+// nil, resumes p.
+func (e *Engine) schedule(t Time, fn func(), p *Proc) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -199,6 +208,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	ev.at = t
 	ev.seq = e.seq
 	ev.fn = fn
+	ev.proc = p
 	ev.canceled = false
 	e.queue.push(ev)
 	if e.probe != nil {
@@ -239,7 +249,7 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // Events reports how many events the engine has fired over its
-// lifetime. The counter rides the existing pop in RunUntil, so keeping
+// lifetime. The counter rides the existing pop in dispatch, so keeping
 // it costs no allocation and no extra branch on the scheduling path.
 func (e *Engine) Events() uint64 { return e.processed }
 
@@ -257,20 +267,48 @@ func (e *Engine) Run() { e.RunUntil(Forever) }
 
 // RunUntil executes events with time ≤ limit; the clock is then advanced
 // to limit (if limit is reachable, i.e. not Forever with an empty queue).
+//
+// The loop runs on whichever goroutine holds control: the caller's until
+// an event resumes a process, then that process's once it parks or
+// finishes (see Proc.park). Control, and any panic raised on another
+// goroutine, comes back to the caller over yield when the run ends.
 func (e *Engine) RunUntil(limit Time) {
 	if e.running {
 		panic("sim: Run called reentrantly")
 	}
 	e.running = true
 	e.stopped = false
+	e.limit = limit
 	defer func() { e.running = false }()
 
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= limit {
+	if p := e.dispatch(); p != nil {
+		p.resume <- nil
+		if r := <-e.yield; r != nil {
+			panic(r)
+		}
+	}
+	if !e.stopped && limit != Forever && limit > e.now {
+		e.now = limit
+	}
+}
+
+// dispatch fires events in order until one resumes a live process and
+// returns that process, or returns nil when the run ends: Stop was
+// called, the queue is empty or the next event is past the limit.
+func (e *Engine) dispatch() *Proc {
+	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= e.limit {
 		ev := e.queue.popMin()
 		e.now = ev.at
 		e.processed++
 		if e.probe != nil {
 			e.probe.EngineEvent(ProbeFire)
+		}
+		if p := ev.proc; p != nil {
+			e.recycle(ev)
+			if !p.dead {
+				return p
+			}
+			continue
 		}
 		ev.fn()
 		// Recycle only after fn returns: a Cancel of the firing event
@@ -278,28 +316,24 @@ func (e *Engine) RunUntil(limit Time) {
 		// object, not a reused one.
 		e.recycle(ev)
 	}
-	if !e.stopped && limit != Forever && limit > e.now {
-		e.now = limit
-	}
+	return nil
 }
 
-// Shutdown terminates all parked processes (via a recovered panic inside
-// each process goroutine), drains the event queue, and clears the
-// stopped/running latches so the engine can schedule and Run again. It
-// returns the number of parked processes it had to kill — a non-zero
-// count after a run that was expected to finish cleanly means the model
-// leaked processes. It is intended for tests and for aborting
+// Shutdown kills every process that is parked or has not started yet
+// (via a recovered panic inside each process goroutine), drains the
+// event queue, and clears the stopped latch so the engine can schedule
+// and Run again. It returns the number of processes it had
+// to kill — a non-zero count after a run that was expected to finish
+// cleanly means the model leaked processes. It panics if called while
+// the engine runs. It is intended for tests and for aborting
 // simulations early without leaking goroutines.
 func (e *Engine) Shutdown() int {
 	if e.running {
 		panic("sim: Shutdown called while running")
 	}
-	leaked := 0
+	leaked := len(e.procs) // finished processes have left the set
 	for p := range e.procs {
-		if p.state == procParked {
-			p.kill()
-			leaked++
-		}
+		p.kill()
 	}
 	for len(e.queue) > 0 {
 		e.recycle(e.queue.popMin())

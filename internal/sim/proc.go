@@ -2,35 +2,23 @@ package sim
 
 import "fmt"
 
-type procState int
-
-const (
-	procNew procState = iota
-	procRunning
-	procParked
-	procDone
-)
-
 type killSentinel struct{}
 
 // Proc is a simulation process: a goroutine that runs model code and
-// suspends on simulation primitives. Exactly one process runs at a time;
-// control is handed between the engine and the process through channels,
-// so execution order is deterministic.
+// suspends on simulation primitives. Exactly one goroutine runs at a
+// time, and control passes between them over channels: a process that
+// parks or finishes runs the event loop itself and hands control to the
+// next process it resumes, or back to RunUntil's caller when the run
+// ends, so execution order is deterministic.
 type Proc struct {
 	eng    *Engine
 	id     int
 	name   string
-	state  procState
 	resume chan any
-	pval   any  // panic value propagated from the process goroutine
 	dead   bool // killed or finished
 
-	// wakeFn resumes the process. Built once so the Sleep hot path
-	// does not allocate a closure per call.
-	wakeFn func()
-	// resumeFn schedules wakeFn as an immediate event; Resumer hands
-	// it out. Built once, like wakeFn.
+	// resumeFn schedules p's wake as an immediate event; Resumer hands
+	// it out. Built once so a hot path can pass it without allocating.
 	resumeFn func()
 }
 
@@ -42,17 +30,14 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		eng:    e,
 		id:     e.nextProcID,
 		name:   name,
-		state:  procNew,
 		resume: make(chan any),
 	}
-	p.wakeFn = func() { e.transfer(p) }
-	p.resumeFn = func() { e.At(e.now, p.wakeFn) }
+	p.resumeFn = func() { e.schedule(e.now, nil, p) }
 	e.procs[p] = struct{}{}
 
 	go func() {
-		// Wait for the engine to transfer control for the first time.
-		v := <-p.resume
-		if _, kill := v.(killSentinel); kill {
+		// Wait for the first resume.
+		if _, kill := (<-p.resume).(killSentinel); kill {
 			p.finish(nil)
 			return
 		}
@@ -66,56 +51,80 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		fn(p)
 	}()
 
-	e.At(e.now, p.wakeFn)
+	e.schedule(e.now, nil, p)
 	return p
 }
 
-// finish hands control back to the engine for the last time. Runs on the
-// process goroutine.
+// finish retires the process and passes control on for the last time:
+// back to Shutdown when the process was killed, to RunUntil's caller
+// with the panic when it panicked, and otherwise through the event loop
+// like a park. Runs on the process goroutine.
 func (p *Proc) finish(panicVal any) {
-	p.state = procDone
+	e := p.eng
+	killed := p.dead
 	p.dead = true
-	p.pval = panicVal
-	p.eng.yield <- struct{}{}
+	delete(e.procs, p)
+	switch {
+	case killed:
+		e.yield <- nil
+	case panicVal != nil:
+		e.yield <- fmt.Sprintf("sim: process %q panicked: %v", p.name, panicVal)
+	default:
+		e.handoff(p)
+	}
 }
 
-// transfer resumes p and blocks until p parks or finishes. Must run on
-// the engine goroutine (inside an event callback).
-func (e *Engine) transfer(p *Proc) {
+// park suspends the process until an event resumes it. Runs on the
+// process goroutine, which runs the event loop meanwhile: when the next
+// process to resume is p itself, park returns without a goroutine
+// switch.
+func (p *Proc) park() {
 	if p.dead {
-		return
+		// Parking while being killed (say, in a deferred call): keep
+		// unwinding instead of running the loop under Shutdown.
+		panic(killSentinel{})
 	}
-	p.state = procRunning
-	p.resume <- nil
-	<-e.yield
-	if p.state == procDone {
-		delete(e.procs, p)
-		if p.pval != nil {
-			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, p.pval))
+	if !p.eng.handoff(p) {
+		if _, kill := (<-p.resume).(killSentinel); kill {
+			panic(killSentinel{})
 		}
 	}
 }
 
-// park suspends the process until the engine resumes it. Runs on the
-// process goroutine.
-func (p *Proc) park() {
-	p.state = procParked
-	p.eng.yield <- struct{}{}
-	if _, kill := (<-p.resume).(killSentinel); kill {
-		panic(killSentinel{})
+// handoff runs the event loop on the goroutine of from, a process that
+// parks or finishes, and passes control to what comes next. It reports
+// whether that is from itself, which then keeps running. Otherwise it
+// resumes the next process with one channel send, or hands control back
+// to RunUntil's caller over yield when the run ends — together with the
+// panic value if an event callback panicked, leaving from parked.
+func (e *Engine) handoff(from *Proc) bool {
+	next, r := e.dispatchRecover()
+	switch {
+	case next == from:
+		return true
+	case next != nil:
+		next.resume <- nil
+	default:
+		e.yield <- r
 	}
-	p.state = procRunning
+	return false
 }
 
-// kill terminates a parked process. Must run on the engine goroutine.
+// dispatchRecover is dispatch with a callback's panic recovered into r,
+// so a process goroutine can hand it to RunUntil's caller.
+func (e *Engine) dispatchRecover() (next *Proc, r any) {
+	defer func() { r = recover() }()
+	return e.dispatch(), nil
+}
+
+// kill terminates a live process, which between runs is parked or has
+// not started yet. The process unwinds on its own goroutine and hands
+// control straight back; it never enters the event loop. Runs on
+// Shutdown's goroutine.
 func (p *Proc) kill() {
-	if p.dead || p.state != procParked {
-		return
-	}
 	p.dead = true
 	p.resume <- killSentinel{}
 	<-p.eng.yield
-	delete(p.eng.procs, p)
 }
 
 // Name reports the process name given to Go.
@@ -136,7 +145,7 @@ func (p *Proc) Sleep(d Time) {
 		panic(fmt.Sprintf("sim: negative sleep %v", d))
 	}
 	e := p.eng
-	e.At(e.now+d, p.wakeFn)
+	e.schedule(e.now+d, nil, p)
 	p.park()
 }
 
@@ -173,7 +182,7 @@ func (s *Signal) Broadcast(e *Engine) {
 	ws := s.waiters
 	for i, p := range ws {
 		ws[i] = nil
-		e.At(e.now, p.wakeFn)
+		e.schedule(e.now, nil, p)
 	}
 	s.waiters = ws[:0]
 }

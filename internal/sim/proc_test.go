@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestProcSleep(t *testing.T) {
@@ -106,6 +110,29 @@ func TestShutdownReleasesParkedProcs(t *testing.T) {
 	}
 }
 
+// TestKilledProcessDoesNotRunLoop: a process that parks again while
+// Shutdown kills it (here in a deferred Sleep) keeps unwinding: the
+// rest of its deferred calls run, and it never runs the event loop
+// under Shutdown.
+func TestKilledProcessDoesNotRunLoop(t *testing.T) {
+	e := New(1)
+	var sig Signal
+	cleaned := false
+	e.Go("stuck", func(p *Proc) {
+		defer func() { cleaned = true }()
+		defer p.Sleep(1)
+		sig.Wait(p)
+	})
+	e.At(10, func() { t.Error("event fired during Shutdown") })
+	e.RunUntil(5)
+	if leaked := e.Shutdown(); leaked != 1 {
+		t.Fatalf("Shutdown killed %d processes, want 1", leaked)
+	}
+	if !cleaned {
+		t.Fatal("deferred cleanup did not run on kill")
+	}
+}
+
 func TestProcPanicPropagates(t *testing.T) {
 	e := New(1)
 	e.Go("bomb", func(p *Proc) {
@@ -157,5 +184,153 @@ func TestManyProcsDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic process order at %d", i)
 		}
+	}
+}
+
+// waitGoroutines waits for the goroutine count to fall back to base: a
+// killed process hands control back before its goroutine has exited.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want %d", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+// runRecover runs e and returns the value Run panicked with, if any.
+func runRecover(e *Engine) (r any) {
+	defer func() { r = recover() }()
+	e.Run()
+	return nil
+}
+
+// TestShutdownKillsUnstartedProcess: a process whose first wake never
+// fired is killed and counted like a parked one, whether the engine
+// never ran or a Stop ended the run before the process started.
+func TestShutdownKillsUnstartedProcess(t *testing.T) {
+	for _, stopFirst := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stop-first=%v", stopFirst), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := New(1)
+			if stopFirst {
+				e.At(0, e.Stop)
+			}
+			ran := false
+			e.Go("unstarted", func(p *Proc) { ran = true })
+			if stopFirst {
+				e.Run()
+			}
+			if leaked := e.Shutdown(); leaked != 1 {
+				t.Fatalf("Shutdown killed %d processes, want 1", leaked)
+			}
+			if len(e.procs) != 0 {
+				t.Fatalf("procs = %d after Shutdown, want 0", len(e.procs))
+			}
+			if ran {
+				t.Fatal("killed process ran its body")
+			}
+			waitGoroutines(t, base)
+		})
+	}
+}
+
+// TestCallbackPanicOnProcessGoroutine: a process that parks runs the
+// event loop itself, so a later callback panics on its goroutine. Run's
+// caller must see the same panic value, and the process stays parked
+// for Shutdown to reap.
+func TestCallbackPanicOnProcessGoroutine(t *testing.T) {
+	e := New(1)
+	var sig Signal
+	e.Go("waiter", func(p *Proc) {
+		p.Sleep(5)
+		sig.Wait(p)
+	})
+	boom := errors.New("callback boom")
+	e.At(10, func() { panic(boom) })
+	if r := runRecover(e); r != boom {
+		t.Fatalf("Run panicked with %v, want %v", r, boom)
+	}
+	if e.Now() != 10 {
+		t.Fatalf("clock = %v after the panic, want 10", e.Now())
+	}
+	if leaked := e.Shutdown(); leaked != 1 {
+		t.Fatalf("Shutdown killed %d processes, want the 1 parked", leaked)
+	}
+}
+
+// TestProcPanicAfterHandoff: a process resumed by another process (not
+// by Run's caller) panics, and Run still reports it.
+func TestProcPanicAfterHandoff(t *testing.T) {
+	e := New(1)
+	var resumeB func()
+	e.Go("b", func(p *Proc) {
+		resumeB = p.Resumer()
+		p.Park()
+		panic("boom")
+	})
+	e.Go("a", func(p *Proc) {
+		p.Sleep(1)
+		resumeB()
+		p.Park()
+	})
+	want := `sim: process "b" panicked: boom`
+	if r := runRecover(e); r != want {
+		t.Fatalf("Run panicked with %v, want %q", r, want)
+	}
+	if leaked := e.Shutdown(); leaked != 1 {
+		t.Fatalf("Shutdown killed %d processes, want the 1 parked", leaked)
+	}
+}
+
+// TestRunUntilAcrossProcesses: RunUntil's limit holds while processes
+// run the event loop. Two processes ping-pong through Resumer and Park,
+// one round per time unit; stopping at 50 and running on logs exactly
+// what one Run does.
+func TestRunUntilAcrossProcesses(t *testing.T) {
+	run := func(split bool) []string {
+		e := New(1)
+		var log []string
+		var resume [2]func()
+		e.Go("a", func(p *Proc) {
+			resume[0] = p.Resumer()
+			for i := 0; i < 100; i++ {
+				p.Sleep(1)
+				log = append(log, fmt.Sprintf("a%d@%v", i, p.Now()))
+				resume[1]()
+				p.Park()
+			}
+		})
+		e.Go("b", func(p *Proc) {
+			resume[1] = p.Resumer()
+			for i := 0; i < 100; i++ {
+				p.Park()
+				log = append(log, fmt.Sprintf("b%d@%v", i, p.Now()))
+				resume[0]()
+			}
+		})
+		if split {
+			e.RunUntil(50)
+			if e.Now() != 50 {
+				t.Fatalf("clock = %v after RunUntil(50), want 50", e.Now())
+			}
+			if len(log) != 100 {
+				t.Fatalf("%d rounds logged by RunUntil(50), want 100", len(log))
+			}
+		}
+		e.Run()
+		if leaked := e.Shutdown(); leaked != 0 {
+			t.Fatalf("Shutdown killed %d processes, want 0", leaked)
+		}
+		return log
+	}
+	whole, split := run(false), run(true)
+	if len(whole) != 200 {
+		t.Fatalf("one Run logged %d entries, want 200", len(whole))
+	}
+	if fmt.Sprint(split) != fmt.Sprint(whole) {
+		t.Fatalf("RunUntil(50)+Run logged\n%v\nwant\n%v", split, whole)
 	}
 }

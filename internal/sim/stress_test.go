@@ -123,14 +123,3 @@ func TestShutdownMidEventStorm(t *testing.T) {
 	}
 	e.Run() // must be a no-op, not a hang
 }
-
-func BenchmarkProcSleepWake(b *testing.B) {
-	e := New(1)
-	e.Go("sleeper", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1)
-		}
-	})
-	b.ResetTimer()
-	e.Run()
-}
